@@ -1,10 +1,12 @@
 """Effective sample size and split-R-hat for MCMC output, numpy only.
 
-`ess` is Geyer's initial monotone sequence estimator (Geyer 1992) applied to
-one chain: autocorrelations come from an FFT, are summed in adjacent pairs
-until a pair sum turns negative, and the pair sums are forced to be
-non-increasing before they are added up. No rank normalisation is applied,
-so this is the ESS of a coordinate's mean.
+`ess` is Geyer's initial monotone sequence estimator (Geyer 1992): the
+autocorrelations, from FFT autocovariances, are summed in adjacent pairs until a pair sum
+turns negative, and the pair sums are forced to be non-increasing before they
+are added up. Over several chains (`ess_chains`) the autocorrelation at each
+lag is the chains' mean autocovariance, set against the variance estimate
+that includes the spread between chain means, as in Vehtari et al. (2021).
+No rank normalisation is applied, so this is the ESS of a coordinate's mean.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ import math
 import numpy as np
 
 
-def autocorrelation(x: np.ndarray) -> np.ndarray:
-    """Biased sample autocorrelation rho_0..rho_{N-1} of a 1-D chain."""
+def autocovariance(x: np.ndarray) -> np.ndarray:
+    """Biased sample autocovariance (divided by N) at lags 0..N-1 of a 1-D chain."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     centred = x - x.mean()
     size = 1 << (2 * n - 1).bit_length()
     spectrum = np.fft.rfft(centred, size)
-    acov = np.fft.irfft(spectrum * np.conjugate(spectrum), size)[:n]
-    return acov / acov[0]
+    return np.fft.irfft(spectrum * np.conjugate(spectrum), size)[:n] / n
 
 
 def ess(x: np.ndarray) -> float:
@@ -31,20 +32,37 @@ def ess(x: np.ndarray) -> float:
     A chain shorter than 4 draws or with zero variance has no defined ESS
     and gives nan.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.shape[0]
-    if n < 4 or not np.ptp(x) > 0:
+    return ess_chains(np.asarray(x, dtype=float).reshape(1, -1))
+
+
+def ess_chains(chains: np.ndarray) -> float:
+    """Effective sample size of the pooled mean of independent chains of shape (C, N).
+
+    Estimating one autocorrelation sequence from all chains is steadier
+    than adding up per-chain estimates, which overstate a short chain's ESS.
+    Chains shorter than 4 draws, or with zero variance within them, give nan.
+    """
+    chains = np.asarray(chains, dtype=float)
+    m, n = chains.shape
+    if n < 4:
         return float("nan")
-    rho = autocorrelation(x)
+    within = float(chains.var(axis=1, ddof=1).mean())
+    if not within > 0.0:
+        return float("nan")
+    between = float(chains.mean(axis=1).var(ddof=1)) if m > 1 else 0.0
+    var_plus = (n - 1) / n * within + between
+    mean_acov = np.mean([autocovariance(c) for c in chains], axis=0)
+    rho = 1.0 - (within - mean_acov) / var_plus
+    rho[0] = 1.0
     pairs = rho[0 : n - 1 : 2][: (n - 1) // 2] + rho[1:n:2][: (n - 1) // 2]
-    positive = np.flatnonzero(pairs <= 0.0)
-    if positive.size:
-        pairs = pairs[: positive[0]]
+    negative = np.flatnonzero(pairs <= 0.0)
+    if negative.size:
+        pairs = pairs[: negative[0]]
     pairs = np.minimum.accumulate(pairs)
     tau = 2.0 * float(pairs.sum()) - 1.0
-    # antithetic chains can drive tau towards 0; cap ESS at n log10(n) as Stan does
-    tau = max(tau, 1.0 / math.log10(n))
-    return n / tau
+    # antithetic chains can drive tau towards 0; cap ESS at N log10(N) as Stan does
+    tau = max(tau, 1.0 / math.log10(m * n))
+    return m * n / tau
 
 
 def split_rhat(chains: np.ndarray) -> float:

@@ -1,8 +1,8 @@
-"""Benchmark of the dikinwalk CLI on four workloads; see README.md in this directory.
+"""Benchmark of the dikinwalk CLI; see README.md in this directory.
 
 Usage, from the root of a checkout:
 
-    python3 bench/run.py --workload soft-10x40-2chains --seed 0 --seconds 16 --trace 0
+    python3 bench/run.py --workload soft-10x40-2chains --seed 0 --seconds 22 --trace 0
 
 Inputs come from the seed. Each run starts fresh worker processes (worker.py)
 that call `dikinwalk.cli.main(argv)` in-process: several that time set-up,
@@ -38,10 +38,10 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"  # records and spans
 
-SETUP_PROBES = 5  # fresh processes per run that time set-up; the median is reported
-INSTANCES = 4  # random polytopes per sampling run; repetition k samples instance k mod 4
+SETUP_PROBES = 9  # fresh processes per run that time set-up; the median is reported
+INSTANCES = 4  # random polytopes per sampling run; worker.inputs_for picks one per command
 ORACLE_SAMPLES = 20_000
-Z_LIMIT = 6.0  # in pooled standard errors; see README.md, "Correctness checks"
+Z_LIMIT = 5.0  # in pooled standard errors; see README.md, "Correctness checks"
 DEADLINE_S = 170  # a run that has not finished by then is stopped
 # metric names and units, as declared for the benchmark
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -53,6 +53,8 @@ STATS_PREFIXES = ("# proposed=", "# lazy_skips=", "# step_size=")
 # Why each workload exists is in README.md. `steps`, `burn_in` and `thin` are
 # per command, which is repeated for --seconds; `warm` is the (steps, burn_in)
 # or trials of the short same-seed command run twice before timing.
+# lewis-10x40 runs by name but is not declared in BENCHMARK.json: a run holds
+# too little ESS for a bounded ess_per_s (see README.md).
 WORKLOADS = {
     "soft-10x40-2chains": dict(
         n=10, m=40, metric="soft", acceptance=0.2, chains=2, init="warmstart",
@@ -123,50 +125,58 @@ def workload_argv(name: str, spec: dict, steps: int, burn_in: int, chains: int) 
     return argv + ["--init-point"] + ["0"] * spec["n"]
 
 
+def certify_trials(trials: int) -> int:
+    """Trials `diagnose --trials T` runs: 20 instances x 3 reports x max(1, T // 20).
+
+    The report's own `trials=` fields count checks, of which a trial makes one
+    or two depending on random draws, so they are not used as the op count.
+    """
+    return 3 * 20 * max(1, trials // 20)
+
+
 def worker_config(name: str, seed: int, workdir: Path, seconds: float) -> dict:
+    """The worker's settings; its argument lists are templates that worker.py fills."""
     spec = WORKLOADS[name]
     chains = spec.get("chains", 1)
     if name == "certify":
         size, warm, setup = (spec["trials"], 0), (spec["warm"], 0), None
     else:
         size, warm, setup = (spec["steps"], spec["burn_in"]), spec["warm"], (0, 0)
-
-    def argv(steps_and_burn_in, chains=chains, fixed_seed=True):
-        args = workload_argv(name, spec, *steps_and_burn_in, chains)
-        if fixed_seed:
-            args = [a.replace("{seed}", str(seed * 1000)).replace("{instance}", "0")
-                    for a in args]
-        return args
-
     return {
         "src": str(SRC),
         "workdir": str(workdir),
         "seconds": seconds,
-        "argv": argv(size, fixed_seed=False),
-        # chains use seeds seed, seed + 1, ...; keep the repetitions' seeds apart
+        "argv": workload_argv(name, spec, *size, chains),
         "seed_base": seed * 1000,
         "seed_stride": 10,
         "instances": INSTANCES if name != "certify" else 1,
         "chains": chains,
         # warming up also matters: the first (100, 1000) run in a process is ~3x slower
-        "warmup_argv": argv(warm),
-        "setup_argv": argv(setup) if setup else None,
-        "single_chain_argv": argv(size, chains=1) if chains > 1 else None,
+        "warmup_argv": workload_argv(name, spec, *warm, chains),
+        "setup_argv": workload_argv(name, spec, *setup, chains) if setup else None,
+        "single_chain_argv": workload_argv(name, spec, *size, 1) if chains > 1 else None,
     }
 
 
-def run_worker(cfg: dict, workdir: Path, tag: str) -> dict:
-    """Run worker.py on cfg; subprocess.run kills and reaps it at the deadline."""
+def run_worker(cfg: dict, workdir: Path, tag: str) -> tuple:
+    """Run worker.py on cfg: (its result, None), or (None, why it gave none).
+
+    subprocess.run kills and reaps the worker at the deadline.
+    """
     path = workdir / f"{tag}.json"
     path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "worker.py"), str(path)],
-        capture_output=True, text=True,
-        timeout=max(1.0, START + DEADLINE_S - time.monotonic()),
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "worker.py"), str(path)],
+            capture_output=True, text=True,
+            timeout=max(1.0, START + DEADLINE_S - time.monotonic()),
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"worker {tag} stopped at the {DEADLINE_S} s deadline"
     if proc.returncode != 0:
-        raise RuntimeError(f"worker {tag} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        tail = (proc.stderr.strip().splitlines() or [""])[-1]
+        return None, f"worker {tag} exited {proc.returncode}: {tail}"
+    return json.loads(proc.stdout.strip().splitlines()[-1]), None
 
 
 def read_chains(directory: Path, chains: int) -> list:
@@ -190,7 +200,7 @@ def read_chains(directory: Path, chains: int) -> list:
 def check_sampling(rep: dict, directory: Path, P) -> tuple:
     """Failures in one sample command's output, and its ESS summed over chains.
 
-    Keeps the samples and per-chain ESS on the rep for `check_oracle`. Short
+    Keeps the samples on the rep for `check_oracle`. Short
     warm-up runs are only checked for interior samples.
     """
     from dikinwalk.polytope import contains
@@ -209,7 +219,7 @@ def check_sampling(rep: dict, directory: Path, P) -> tuple:
         rows = min(len(s) for s, _ in chains)
         stacked = np.stack([s[:rows] for s, _ in chains])  # (chains, rows, n)
         rep["rhat_max"] = max(ess.split_rhat(stacked[:, :, j]) for j in range(P.n))
-    rep["samples"], rep["chain_ess"] = [s for s, _ in chains], per_chain
+    rep["samples"] = [s for s, _ in chains]
     return failures, float(per_chain.mean(axis=1).sum())
 
 
@@ -217,20 +227,22 @@ def check_oracle(reps: list, oracles: list) -> None:
     """Per instance, the mean of every chain sampled on it must match the oracle's.
 
     Chains are pooled per instance (identical outputs counted once), with
-    standard errors from their summed ESS, not the row count. Pooling keeps
-    the ESS estimate, and so the z-score, well calibrated. A mismatch fails
-    every repetition that sampled the instance.
+    standard errors from the ESS of their pooled mean (`ess.ess_chains`),
+    not the row count. A mismatch fails every repetition that sampled the
+    instance.
     """
     groups: dict[int, list] = {}
     for rep in reps:
         if "samples" in rep:
-            groups.setdefault(rep.get("index", 0) % INSTANCES, []).append(rep)
+            groups.setdefault(rep["instance"], []).append(rep)
     for i, group in groups.items():
         distinct = list({rep["sha256"]: rep for rep in group}.values())
-        pooled = np.vstack([s for rep in distinct for s in rep["samples"]])
-        ess_sum = np.sum([rep["chain_ess"].sum(axis=0) for rep in distinct], axis=0)
+        rows = min(len(s) for rep in distinct for s in rep["samples"])
+        chains = np.stack([s[:rows] for rep in distinct for s in rep["samples"]])
+        pooled = chains.reshape(-1, chains.shape[2])
+        pooled_ess = np.array([ess.ess_chains(chains[:, :, j]) for j in range(chains.shape[2])])
         oracle = oracles[i]
-        se2 = pooled.var(axis=0, ddof=1) / ess_sum + oracle.var(axis=0, ddof=1) / len(oracle)
+        se2 = pooled.var(axis=0, ddof=1) / pooled_ess + oracle.var(axis=0, ddof=1) / len(oracle)
         z = float(np.max(np.abs(pooled.mean(axis=0) - oracle.mean(axis=0)) / np.sqrt(se2)))
         for rep in group:
             rep["max_abs_z"] = z
@@ -238,22 +250,22 @@ def check_oracle(reps: list, oracles: list) -> None:
                 rep["failures"].append(f"instance {i}: chain mean off the oracle by {z:.2f} SE")
 
 
-def check_certify(rep: dict, directory: Path) -> tuple:
-    """Failures in one diagnose command's report, and the trials it ran."""
+def check_certify(rep: dict, directory: Path) -> list:
+    """Failures in one diagnose command's report."""
     lines = [ln for ln in (directory / "d.txt").read_text().splitlines()
              if ln and not ln.startswith("#")]
     fields = [dict(item.split("=", 1) for item in ln.split()[1:]) for ln in lines]
-    trials = sum(int(f["trials"]) for f in fields)
+    if len(fields) != 3:
+        return [f"{len(fields)} reports instead of 3"]
     rep["violations"] = sum(int(f["violations"]) for f in fields)
-    failures = [f"{rep['violations']} certification violations"] if rep["violations"] else []
-    return failures, trials
+    return [f"{rep['violations']} certification violations"] if rep["violations"] else []
 
 
 def check_reps(name: str, reps: list, workdir: Path, inputs: dict, oracles) -> list:
     """Check every command's output; set each rep's failures, ops and ESS.
 
     An op is a Markov transition (summed over chains) of `sample`, or a
-    certification trial of `diagnose`.
+    certification trial of `diagnose` (see `certify_trials`).
     """
     spec = inputs["spec"]
     for rep in reps:
@@ -267,12 +279,13 @@ def check_reps(name: str, reps: list, workdir: Path, inputs: dict, oracles) -> l
         directory = workdir / rep["dir"]
         try:
             if name == "certify":
-                found, rep["ops"] = check_certify(rep, directory)
+                found = check_certify(rep, directory)
+                rep["ops"] = certify_trials(spec["warm"] if rep.get("warm") else spec["trials"])
                 rep["ess"] = rep["ops"]  # certification trials are independent draws
             else:
                 rep.setdefault("chains", spec["chains"])
-                i = rep.get("index", 0) % INSTANCES
-                found, rep["ess"] = check_sampling(rep, directory, inputs["P"][i])
+                P = inputs["P"][rep["instance"]]
+                found, rep["ess"] = check_sampling(rep, directory, P)
                 per_chain = (sum(spec["warm"]) if rep.get("warm")
                              else spec["steps"] + spec["burn_in"])
                 rep["ops"] = rep["chains"] * per_chain
@@ -283,7 +296,6 @@ def check_reps(name: str, reps: list, workdir: Path, inputs: dict, oracles) -> l
         check_oracle(reps, oracles)
     for rep in reps:
         rep.pop("samples", None)
-        rep.pop("chain_ess", None)
     return reps
 
 
@@ -366,16 +378,28 @@ def trace_layers(name: str, worker: dict, reps: list, workdir: Path) -> dict:
 
 
 def e2e_metrics(reps: list, setups: list, worker: dict) -> dict:
-    """End-to-end metrics of the timed repetitions that passed every check."""
-    timed = [r for r in reps if r["dir"].startswith("rep") and not r["failures"]]
-    steps_per_s = statistics.median(r["ops"] / r["wall_s"] for r in timed) if timed else 0.0
-    # ESS per op pooled over repetitions: steadier than a median of short-chain ESS
-    ops = sum(r["ops"] for r in timed)
+    """End-to-end metrics of the timed repetitions that passed every check.
+
+    Rates are those of one pass over the input instances: per instance, the
+    ops and mean ESS of its repetitions over the mean wall time of those that
+    ran free of steal (of all of them, where none did). Taking each instance
+    once keeps the mix fixed however many repetitions each got.
+    """
+    by_instance: dict[int, list] = {}
+    for r in reps:
+        if r["dir"].startswith("rep") and not r["failures"]:
+            by_instance.setdefault(r["instance"], []).append(r)
+    ops = wall = ess_sum = 0.0
+    for group in by_instance.values():
+        timed = [r for r in group if r["clean"]] or group
+        ops += group[0]["ops"]
+        ess_sum += statistics.fmean(r["ess"] for r in group)
+        wall += statistics.fmean(r["wall_s"] for r in timed)
     values = {
-        "steps_per_s": steps_per_s,
-        "ess_per_s": steps_per_s * sum(r["ess"] for r in timed) / ops if ops else 0.0,
-        "setup_s": statistics.median(p["setup_s"] for p in setups),
-        "peak_rss_mb": worker["peak_rss_mb"],
+        "steps_per_s": ops / wall if wall else 0.0,
+        "ess_per_s": ess_sum / wall if wall else 0.0,
+        "setup_s": statistics.median(p["setup_s"] for p in setups) if setups else 0.0,
+        "peak_rss_mb": worker["peak_rss_mb"] if worker else 0.0,
     }
     return {k: {"value": values[k], "unit": unit} for k, unit in E2E_UNITS.items()}
 
@@ -393,42 +417,60 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
     record = {"workload": name, "seed": seed, "trace": int(trace),
               "sigma": inputs["sigma"]}
 
-    setups = []
+    setups, ops = [], []  # ops: one dict with "dir" and "failures" per operation
     if trace:
         cfg.update(mode="trace", spans_path=str(OUT / f"spans-{name}-seed{seed}.csv"))
     else:
         cfg.update(mode="run")
-        setups = [run_worker(dict(cfg, mode="setup", setup_dir=f"setup{i}"), workdir,
-                             f"setup{i}") for i in range(SETUP_PROBES)]
-    worker = run_worker(cfg, workdir, cfg["mode"])
-    reps = check_reps(name, worker["reps"], workdir, inputs, oracles)
-    warm = [r for r in reps if r.get("warm")]
-    check_same_output(warm[1:], warm[0])
-    if trace:
-        plain = [r for r in reps if r["dir"].startswith(("plain", "traced"))]
-        check_same_output(plain[1:], plain[0])  # tracing must not change the output
-        metrics = trace_layers(name, worker, reps, workdir)
-        record.update(
-            plain_wall_s=worker["plain_wall_s"], traced_wall_s=worker["traced_wall_s"],
-            absent_hooks=worker["absent_hooks"], spans=worker["spans"],
-            spans_path=cfg["spans_path"])
+        for i in range(SETUP_PROBES):
+            probe, why = run_worker(dict(cfg, mode="setup", setup_dir=f"setup{i}"), workdir,
+                                    f"setup{i}")
+            if probe is not None and probe["rc"] != 0:
+                why = f"exit code {probe['rc']}"
+            elif probe is not None:
+                setups.append(probe)
+            ops.append({"dir": f"setup{i}", "failures": [why] if why else []})
+    worker, why = run_worker(cfg, workdir, cfg["mode"])
+    if worker is None:
+        # the worker's commands are lost with it; it counts as one failed operation
+        reps = [{"dir": cfg["mode"], "failures": [why]}]
+        if trace:
+            metrics = {k: {"value": 0.0, "unit": u} for k, u in LAYER_UNITS.items()}
+        else:
+            metrics = e2e_metrics(reps, setups, worker)
+        warm = []
     else:
-        metrics = e2e_metrics(reps, setups, worker)
+        reps = check_reps(name, worker["reps"], workdir, inputs, oracles)
+        warm = [r for r in reps if r.get("warm")]
+        check_same_output(warm[1:], warm[0])
+        if trace:
+            plain = [r for r in reps if r["dir"].startswith(("plain", "traced"))]
+            check_same_output(plain[1:], plain[0])  # tracing must not change the output
+            metrics = trace_layers(name, worker, reps, workdir)
+            record.update(
+                plain_wall_s=worker["plain_wall_s"], traced_wall_s=worker["traced_wall_s"],
+                absent_hooks=worker["absent_hooks"], spans=worker["spans"],
+                spans_path=cfg["spans_path"])
+        else:
+            metrics = e2e_metrics(reps, setups, worker)
+            record["steal_frac"] = worker["steal_frac"]
+            timed = [r for r in reps if r["dir"].startswith("rep")]
+            record["clean_frac"] = sum(r["clean"] for r in timed) / len(timed)
+    if not trace:
         record["setup_s_all"] = [p["setup_s"] for p in setups]
-        record["steal_frac"] = worker["steal_frac"]
-    reps += [{"dir": f"setup{i}", "failures": [] if p["rc"] == 0 else
-              [f"exit code {p['rc']}"]} for i, p in enumerate(setups)]
+    reps += ops
 
     record.update(
-        output_sha256=warm[0]["sha256"],
-        reps=[{k: r.get(k) for k in ("dir", "index", "wall_s", "cpu_s", "ops", "ess",
-                                     "max_abs_z", "rhat_max", "sha256")}
+        output_sha256=warm[0]["sha256"] if warm else None,
+        reps=[{k: r.get(k) for k in ("dir", "index", "instance", "seed", "wall_s", "cpu_s",
+                                     "steal_frac", "ops", "ess", "max_abs_z", "rhat_max",
+                                     "sha256")}
               for r in reps if "wall_s" in r],
         attempted=len(reps),
         failed=sum(1 for r in reps if r["failures"]),
         failures=[f"{r['dir']}: {f}" for r in reps for f in r["failures"]],
         metrics=metrics,
-        provenance=provenance(seed, worker),
+        provenance=provenance(seed, worker or {}),
     )
     record["fail_frac"] = record["failed"] / record["attempted"]
     return record

@@ -49,6 +49,23 @@ def test_constant_chain_is_nan_without_dividing_by_zero():
         assert math.isnan(ess.ess(np.arange(3.0)))
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_ar1_chains_pool_to_closed_form(rho):
+    # 8 chains of 5 000: the pooled ESS is 8 x N (1 - rho) / (1 + rho)
+    chains = np.stack([ar1(rho, 5_000, seed=10 + k) for k in range(8)])
+    expected = chains.size * (1.0 - rho) / (1.0 + rho)
+    assert ess.ess_chains(chains) == pytest.approx(expected, rel=0.10)
+
+
+def test_chains_stuck_apart_have_low_pooled_ess():
+    # each chain mixes on its own, but their means disagree: pooling must not
+    # count them as 4 N independent draws
+    rng = np.random.default_rng(6)
+    chains = rng.standard_normal((4, 2_000)) + 3.0 * np.arange(4)[:, None]
+    assert ess.ess_chains(chains) < 0.1 * chains.size
+    assert math.isnan(ess.ess_chains(np.full((3, 100), 1.0)))
+
+
 def test_split_rhat_flags_disagreeing_chains():
     rng = np.random.default_rng(5)
     mixed = rng.standard_normal((4, 2_000))

@@ -5,16 +5,18 @@ run.py. Modes:
 
 - setup: time from process start (before numpy is imported) to the end of
   the workload's set-up command, once.
-- run: warm up, then repeat the workload's command for `seconds`, rounded
-  up to whole cycles over the input instances. Repetition k runs in
-  directory rep<k> with argument set k: its own seed, and input instance
-  k mod `instances`.
-- trace: warm up, then alternate an untraced and a traced run of argument
-  set 0 (plus a traced single-chain run when the workload runs a pool), and
+- run: warm up, then repeat the workload's command until the repetitions
+  free of hypervisor steal (see `STEAL_LIMIT`) add up to `seconds` of wall
+  time and cover every input instance, or until `MAX_STRETCH` x `seconds`
+  have passed. Repetition k runs in directory rep<k> with inputs k (see
+  `inputs_for`).
+- trace: warm up, then alternate an untraced and a traced run on inputs 0
+  (plus a traced single-chain run when the workload runs a pool), and
   derive per-layer metrics from the spans.
 
-Warming up runs a short same-seed command twice, in warm0 and warm1, so that
-their outputs can be compared byte for byte.
+Warming up runs a short command on inputs 0 twice, in warm0 and warm1, so
+that their outputs can be compared byte for byte. Every command's record
+carries the `seed` and `instance` it ran with.
 
 Prints one JSON object on stdout.
 """
@@ -36,10 +38,25 @@ OPENBLAS_SYMBOLS = [("scipy_openblas", "64_"), ("scipy_openblas", ""),
                     ("openblas", "64_"), ("openblas", "")]
 
 
-def argv_for(cfg: dict, index: int) -> list:
-    seed = str(cfg["seed_base"] + cfg["seed_stride"] * index)
-    instance = str(index % cfg["instances"])
-    return [a.replace("{seed}", seed).replace("{instance}", instance) for a in cfg["argv"]]
+# a repetition during which the hypervisor took more than this share of the
+# CPUs' time is left out of the timing (it still counts as an operation)
+STEAL_LIMIT = 0.05
+# the timed loop gives up waiting for steal-free repetitions after this many x seconds
+MAX_STRETCH = 1.25
+
+
+def inputs_for(cfg: dict, index: int) -> dict:
+    """CLI seed and input instance of argument set `index`.
+
+    Chains use CLI seeds seed, seed + 1, ...; the stride keeps sets apart.
+    """
+    return {"seed": cfg["seed_base"] + cfg["seed_stride"] * index,
+            "instance": index % cfg["instances"]}
+
+
+def argv_for(template: list, inputs: dict) -> list:
+    return [a.replace("{seed}", str(inputs["seed"]))
+            .replace("{instance}", str(inputs["instance"])) for a in template]
 
 
 def output_digest(directory: str) -> str:
@@ -52,12 +69,14 @@ def output_digest(directory: str) -> str:
     return h.hexdigest()
 
 
-def run_command(main, argv: list, directory: str, call=None) -> dict:
+def run_command(main, template: list, inputs: dict, directory: str, call=None) -> dict:
     """Run one CLI command in a fresh directory; an exception counts as a failure."""
+    argv = argv_for(template, inputs)
     os.makedirs(directory)
     here = os.getcwd()
     os.chdir(directory)
     error = None
+    steal, total = cpu_ticks()
     cpu = time.process_time()
     start = time.perf_counter()
     try:
@@ -68,15 +87,20 @@ def run_command(main, argv: list, directory: str, call=None) -> dict:
         rc, error = None, traceback.format_exc()
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu
+    steal1, total1 = cpu_ticks()
     os.chdir(here)
-    return {
-        "dir": directory,
-        "rc": rc,
-        "error": error,
-        "wall_s": wall,
-        "cpu_s": cpu,
-        "sha256": output_digest(directory),
-    }
+    steal_frac = (steal1 - steal) / (total1 - total) if total1 > total else 0.0
+    return dict(
+        inputs,
+        dir=directory,
+        rc=rc,
+        error=error,
+        wall_s=wall,
+        cpu_s=cpu,
+        steal_frac=steal_frac,
+        clean=steal_frac <= STEAL_LIMIT,
+        sha256=output_digest(directory),
+    )
 
 
 def openblas_info() -> list:
@@ -112,7 +136,8 @@ def cpu_ticks() -> tuple:
 
 
 def warm_up(main, cfg: dict) -> list:
-    return [dict(run_command(main, cfg["warmup_argv"], f"warm{i}"), warm=True)
+    return [dict(run_command(main, cfg["warmup_argv"], inputs_for(cfg, 0), f"warm{i}"),
+                 warm=True)
             for i in range(2)]
 
 
@@ -123,10 +148,10 @@ def mode_setup(cfg: dict) -> dict:
     os.chdir(cfg["setup_dir"])
     try:
         if cfg["setup_argv"] is None:
-            cli.build_parser().parse_args(argv_for(cfg, 0))
+            cli.build_parser().parse_args(argv_for(cfg["argv"], inputs_for(cfg, 0)))
             rc = 0
         else:
-            rc = cli.main(cfg["setup_argv"])
+            rc = cli.main(argv_for(cfg["setup_argv"], inputs_for(cfg, 0)))
     except SystemExit as exc:  # argparse rejected the arguments
         rc = exc.code
     return {"setup_s": time.perf_counter() - T0, "rc": rc}
@@ -139,11 +164,19 @@ def mode_run(cfg: dict) -> dict:
     reps = []
     steal0, total0 = cpu_ticks()
     start = time.perf_counter()
-    # whole cycles over the instances, so a slower run does not change the mix
-    while (not reps or time.perf_counter() - start < cfg["seconds"]
-           or len(reps) % cfg["instances"]):
+
+    def done() -> bool:
+        clean = [r for r in reps if r["clean"]]
+        if (len({r["instance"] for r in clean}) == cfg["instances"]
+                and sum(r["wall_s"] for r in clean) >= cfg["seconds"]):
+            return True
+        return (time.perf_counter() - start >= MAX_STRETCH * cfg["seconds"]
+                and len({r["instance"] for r in reps}) == cfg["instances"])
+
+    while not done():
         k = len(reps)
-        reps.append(dict(run_command(cli.main, argv_for(cfg, k), f"rep{k}"), index=k))
+        reps.append(dict(run_command(cli.main, cfg["argv"], inputs_for(cfg, k), f"rep{k}"),
+                         index=k))
     steal1, total1 = cpu_ticks()
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
@@ -161,20 +194,20 @@ def mode_trace(cfg: dict) -> dict:
 
     tracer = Tracer()
     warm = warm_up(cli.main, cfg)
-    argv = argv_for(cfg, 0)
+    argv, inputs = cfg["argv"], inputs_for(cfg, 0)
     single = cfg["single_chain_argv"]
     plain, traced, traced_single = [], [], []
     start = time.perf_counter()
     cycle = 0
     while cycle == 0 or time.perf_counter() - start < cfg["seconds"]:
-        plain.append(run_command(cli.main, argv, f"plain{cycle}"))
+        plain.append(run_command(cli.main, argv, inputs, f"plain{cycle}"))
         tracer.install()
         try:
-            rep = run_command(cli.main, argv, f"traced{cycle}",
+            rep = run_command(cli.main, argv, inputs, f"traced{cycle}",
                               lambda m, a: tracer.command(2 * cycle, m, a))
             traced.append(dict(rep, run=2 * cycle))
             if single is not None:
-                rep = run_command(cli.main, single, f"single{cycle}",
+                rep = run_command(cli.main, single, inputs, f"single{cycle}",
                                   lambda m, a: tracer.command(2 * cycle + 1, m, a))
                 traced_single.append(dict(rep, run=2 * cycle + 1, chains=1))
         finally:
