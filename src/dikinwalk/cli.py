@@ -10,7 +10,7 @@ initial point, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import os
 import sys
 import tempfile
@@ -45,7 +45,14 @@ from dikinwalk.target import (
     precondition_gaussian,
     quadratic_target,
 )
-from dikinwalk.walk import WalkConfig, WalkError, format_csv, run
+from dikinwalk.walk import (
+    NonFiniteDensityError,
+    WalkConfig,
+    WalkError,
+    format_csv,
+    format_rows,
+    run,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -176,6 +183,21 @@ def cmd_sample(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     gauss, target = _build_target(args, P)
     metric = _resolve_metric(args, target.beta)
+    try:
+        config = WalkConfig(
+            metric=metric,
+            r=args.step_size,
+            lazy=not args.no_lazy,
+            steps=args.steps,
+            burn_in=args.burn_in,
+            adapt=args.adapt,
+            seed=args.seed,
+            thin=args.thin,
+        )
+    except WalkError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
+    if args.chains < 1:
+        raise CliError("--chains must be >= 1", EXIT_PARSE)
     if args.init_point is not None:
         x0 = np.array(args.init_point, dtype=float)
         if x0.shape[0] != P.n:
@@ -195,38 +217,26 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         raise CliError("specify --init-point or --init-warmstart", EXIT_PARSE)
 
-    def one_chain(chain_seed: int):
-        config = WalkConfig(
-            metric=metric,
-            r=args.step_size,
-            lazy=not args.no_lazy,
-            steps=args.steps,
-            burn_in=args.burn_in,
-            adapt=args.adapt,
-            seed=chain_seed,
-            thin=args.thin,
-        )
-        try:
-            return run(init, target, P, config)
-        except WalkError as exc:
-            raise CliError(str(exc), EXIT_INFEASIBLE) from exc
-        except MetricError as exc:
-            raise CliError(str(exc), EXIT_NUMERIC) from exc
-
+    # chains run one after another; none is written until all have finished,
+    # so a failing chain leaves no output behind
+    batches = []
+    try:
+        for i in range(args.chains):
+            chain = dataclasses.replace(config, seed=args.seed + i)
+            batches.append(run(init, target, P, chain))
+    except NonFiniteDensityError as exc:
+        raise CliError(str(exc), EXIT_NUMERIC) from exc
+    except WalkError as exc:
+        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+    except MetricError as exc:
+        raise CliError(str(exc), EXIT_NUMERIC) from exc
     manifest = _manifest(args)
-    if args.chains == 1:
-        batch = one_chain(args.seed)
-        _write_output(args.out, manifest + format_csv(batch, header=args.header))
-    else:
-        seeds = [args.seed + i for i in range(args.chains)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            batches = list(pool.map(one_chain, seeds))
-        for i, batch in enumerate(batches):
-            path = None
-            if args.out is not None:
-                root, ext = os.path.splitext(args.out)
-                path = f"{root}_{i}{ext}"
-            _write_output(path, manifest + format_csv(batch, header=args.header))
+    for i, batch in enumerate(batches):
+        path = args.out
+        if path is not None and args.chains > 1:
+            root, ext = os.path.splitext(path)
+            path = f"{root}_{i}{ext}"
+        _write_output(path, manifest + format_csv(batch, header=args.header))
     return EXIT_OK
 
 
@@ -328,9 +338,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         result = rejection_oracle(gauss, P, args.n_samples, rng)
     except DiagnosticsError as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from exc
-    lines = []
-    for row in result.samples:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines = format_rows(result.samples)
     lines.append(f"# acceptance={result.acceptance:.17g}")
     _write_output(args.out, _manifest(args) + "\n".join(lines) + "\n")
     return EXIT_OK

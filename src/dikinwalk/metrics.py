@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from dikinwalk.polytope import Polytope, slack
+from dikinwalk.polytope import Polytope
 
 
 class MetricError(ValueError):
@@ -88,32 +88,58 @@ class LewisWeights:
 
 
 def _cholesky_upper(G: np.ndarray) -> tuple[np.ndarray, float]:
-    """Upper-triangular Q with G = Q^T Q, retrying once with a tiny jitter."""
+    """Upper-triangular Q with G = Q^T Q, retrying once with a tiny jitter.
+
+    The jitter goes onto G's diagonal in place, so G stays the matrix that
+    was factored.
+    """
+    # numpy's Cholesky, not scipy's dpotrf: they link different OpenBLAS
+    # builds whose low bits differ, which would change same-seed output
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         jitter = 1e-12 * np.trace(G) / G.shape[0]
+        _diagonal(G)[:] += jitter
         try:
-            L = np.linalg.cholesky(G + jitter * np.eye(G.shape[0]))
+            L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             raise MetricError("Cholesky failed even after jitter") from None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
     return L.T, logdet
 
 
-def soft_threshold_metric(P: Polytope, x: np.ndarray, lam: float) -> MetricEval:
-    """G = A_x^T A_x + lam I = sum_i a_i a_i^T / s_i^2 + lam I at interior x."""
+def _diagonal(G: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-contiguous square matrix."""
+    return G.ravel()[:: G.shape[0] + 1]
+
+
+def _row_scaled(P: Polytope, x: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """A_x = S^{-1} A at interior x, from the slacks s = Ax - b.
+
+    The slacks are computed and checked here unless the caller passes them.
+    """
+    if s is None:
+        s = P.A @ x - P.b
+        if not (s > 0.0).all():
+            raise MetricError("point is on or outside the boundary")
+    return P.A / s[:, None]
+
+
+def soft_threshold_metric(
+    P: Polytope, x: np.ndarray, lam: float, s: np.ndarray | None = None
+) -> MetricEval:
+    """G = A_x^T A_x + lam I = sum_i a_i a_i^T / s_i^2 + lam I at interior x.
+
+    A caller that already holds the slacks s = Ax - b at a 1-D float x, all
+    positive, passes them to skip recomputing and rechecking them.
+    """
     if not lam > 0:
         raise MetricError("lambda must be positive")
-    x = P._check_dim(x)
-    if P.m == 0:
-        G = lam * np.eye(P.n)
-    else:
-        s = slack(P, x).s
-        if np.any(s <= 0.0):
-            raise MetricError("point is on or outside the boundary")
-        Ax = P.A / s[:, None]
-        G = Ax.T @ Ax + lam * np.eye(P.n)
+    if s is None:
+        x = P._check_dim(x)
+    Ax = _row_scaled(P, x, s)
+    G = Ax.T @ Ax
+    _diagonal(G)[:] += lam
     Q, logdet = _cholesky_upper(G)
     return MetricEval(G=G, Q=Q, logdet=logdet, at=x)
 
@@ -153,34 +179,38 @@ def lewis_weights(
 
 
 def regularized_lewis_metric(
-    P: Polytope, x: np.ndarray, params: RegularizedLewis
+    P: Polytope, x: np.ndarray, params: RegularizedLewis, s: np.ndarray | None = None
 ) -> MetricEval:
-    """G = c1 sqrt(n) (log m)^c2 A_x^T W A_x + lam I with W the Lewis weights."""
-    x = P._check_dim(x)
+    """G = c1 sqrt(n) (log m)^c2 A_x^T W A_x + lam I with W the Lewis weights.
+
+    Optional slacks s as in soft_threshold_metric.
+    """
+    if s is None:
+        x = P._check_dim(x)
     m, n = P.m, P.n
     if m < n:
         raise MetricError(
             f"regularized Lewis metric needs m >= n (m={m}, n={n}); "
             "use the soft-threshold metric instead"
         )
-    s = slack(P, x).s
-    if np.any(s <= 0.0):
-        raise MetricError("point is on or outside the boundary")
-    Ax = P.A / s[:, None]
+    Ax = _row_scaled(P, x, s)
     q = params.q if params.q is not None else default_lewis_q(m)
     lw = lewis_weights(Ax, q=q, tol=params.tol, max_iter=params.max_iter)
     scale = params.c1 * math.sqrt(n) * math.log(m) ** params.c2
-    G = scale * (Ax.T @ (lw.w[:, None] * Ax)) + params.lam * np.eye(n)
+    G = scale * (Ax.T @ (lw.w[:, None] * Ax))
+    _diagonal(G)[:] += params.lam
     Q, logdet = _cholesky_upper(G)
     return MetricEval(G=G, Q=Q, logdet=logdet, at=x)
 
 
-def evaluate_metric(P: Polytope, x: np.ndarray, kind: MetricKind) -> MetricEval:
-    """Dispatch on the metric kind."""
+def evaluate_metric(
+    P: Polytope, x: np.ndarray, kind: MetricKind, s: np.ndarray | None = None
+) -> MetricEval:
+    """Dispatch on the metric kind; optional slacks s as in soft_threshold_metric."""
     if isinstance(kind, SoftThreshold):
-        return soft_threshold_metric(P, x, kind.lam)
+        return soft_threshold_metric(P, x, kind.lam, s)
     if isinstance(kind, RegularizedLewis):
-        return regularized_lewis_metric(P, x, kind)
+        return regularized_lewis_metric(P, x, kind, s)
     raise MetricError(f"unknown metric kind {kind!r}")
 
 

@@ -7,6 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from dikinwalk.polytope import Polytope
 
@@ -107,19 +108,23 @@ class AffineTransform:
 
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
     """f(x) = (1/2)(x - mu)^T Sigma^{-1} (x - mu), with closed-form gradient."""
-    cho = scipy.linalg.cho_factor(G.Sigma, lower=True)
+    c, _ = scipy.linalg.cho_factor(G.Sigma, lower=True)
     mu = G.mu
     evals = np.linalg.eigvalsh(G.Sigma)
     alpha = 1.0 / float(evals.max())
     beta = 1.0 / float(evals.min())
 
-    def f(x: np.ndarray) -> float:
+    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # LAPACK potrs directly, as cho_solve does minus its validation wrappers
         d = np.asarray(x, dtype=float) - mu
-        return 0.5 * float(d @ scipy.linalg.cho_solve(cho, d))
+        return d, dpotrs(c, d, lower=1)[0]
+
+    def f(x: np.ndarray) -> float:
+        d, y = solve(x)
+        return 0.5 * float(d @ y)
 
     def grad(x: np.ndarray) -> np.ndarray:
-        d = np.asarray(x, dtype=float) - mu
-        return scipy.linalg.cho_solve(cho, d)
+        return solve(x)[1]
 
     return LogConcaveTarget(f=f, grad_f=grad, alpha=alpha, beta=beta)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from dikinwalk.metrics import MetricEval, MetricKind, evaluate_metric
 from dikinwalk.polytope import Polytope, contains
@@ -103,7 +103,9 @@ def propose(state: ChainState, config: WalkConfig) -> np.ndarray:
     """Draw z = x + (r / sqrt(n)) Q^{-1} xi, i.e. z ~ N(x, (r^2/n) G(x)^{-1})."""
     n = state.x.shape[0]
     xi = state.rng.standard_normal(n)
-    step_vec = scipy.linalg.solve_triangular(state.metric_cache.Q, xi, lower=False)
+    # Q is upper triangular with a positive diagonal; LAPACK trtrs directly,
+    # as scipy.linalg.solve_triangular does minus its validation wrappers
+    step_vec = dtrtrs(state.metric_cache.Q, xi, overwrite_b=1)[0]
     return state.x + (config.r / math.sqrt(n)) * step_vec
 
 
@@ -117,8 +119,12 @@ def _log_ratio(
     z: np.ndarray,
 ) -> float:
     n = x.shape[0]
-    nx_sq = float(np.linalg.norm(metric_at_z.Q @ (x - z)) ** 2)
-    nz_sq = float(np.linalg.norm(metric_at_x.Q @ (z - x)) ** 2)
+    d = x - z
+    v = metric_at_z.Q @ d
+    w = metric_at_x.Q @ d  # sign-flipped Q (z - x): same square, bit for bit
+    # sqrt then square reproduces np.linalg.norm(.) ** 2 to the bit
+    nx_sq = math.sqrt(v @ v) ** 2
+    nz_sq = math.sqrt(w @ w) ** 2
     return (
         (f_x - f_z)
         + 0.5 * (metric_at_z.logdet - metric_at_x.logdet)
@@ -154,26 +160,32 @@ def step(
     P: Polytope,
     config: WalkConfig,
 ) -> ChainState:
-    """One (lazy) transition; mutates and returns the state."""
+    """One (lazy) transition; mutates and returns the state.
+
+    An interior proposal costs one slack vector, one metric evaluation
+    from those slacks, one f(z) and one log ratio.
+    """
     rng = state.rng
     if config.lazy and rng.uniform() >= 0.5:
         state.stats.lazy_skips += 1
         return state
     z = propose(state, config)
     state.stats.proposed += 1
-    if not contains(P, z):
+    s = P.A @ z - P.b
+    if not (s > 0.0).all():
         # indicator forces rejection; G(z) and f(z) are never evaluated,
         # and the MH uniform is not consumed
         state.stats.rejected_outside += 1
         return state
-    metric_z = evaluate_metric(P, z, config.metric)
+    metric_z = evaluate_metric(P, z, config.metric, s)
     f_z = float(target.f(z))
     if not math.isfinite(f_z):
         raise NonFiniteDensityError(f"f({z}) is not finite")
     L = _log_ratio(state.f_x, f_z, state.metric_cache, metric_z, config.r, state.x, z)
     state.stats.record_log_ratio(L)
     u = rng.uniform()
-    if math.log(u) < L:
+    # u is drawn from [0, 1): log(0) = -inf rejects only when L = -inf
+    if (math.log(u) if u > 0.0 else -math.inf) < L:
         state.x = z
         state.metric_cache = metric_z
         state.f_x = f_z
@@ -210,7 +222,7 @@ def run(
         raise WalkError("initial point is not interior to the polytope")
     f0 = float(target.f(x_init))
     if not math.isfinite(f0):
-        raise NonFiniteDensityError("f is not finite at the initial point")
+        raise WalkError("f is not finite at the initial point")
     state = ChainState(
         x=x_init.copy(),
         metric_cache=evaluate_metric(P, x_init, config.metric),
@@ -252,13 +264,18 @@ def write_csv(batch: SampleBatch, path: str, header: bool = False) -> None:
         fh.write(format_csv(batch, header=header))
 
 
+def format_rows(samples: np.ndarray) -> list[str]:
+    """One CSV line per row of a 2-D array, 17 significant digits per value."""
+    template = ",".join(["%.17g"] * samples.shape[1])
+    return [template % tuple(row) for row in samples.tolist()]
+
+
 def format_csv(batch: SampleBatch, header: bool = False) -> str:
     n = batch.samples.shape[1] if batch.samples.size else 0
     lines = []
     if header:
         lines.append(",".join(f"x{i + 1}" for i in range(n)))
-    for row in batch.samples:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines += format_rows(batch.samples)
     s = batch.stats
     lines.append(f"# proposed={s.proposed} accepted={s.accepted}")
     lines.append(

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from dikinwalk import cli
 from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
-from dikinwalk.target import GaussianTarget, TargetError
+from dikinwalk.target import GaussianTarget, LogConcaveTarget, TargetError
 
 ORTHANT2 = "2 2\n1 0\n0 1\n0 0\n"
 STD2 = "2\n0 0\n1 0\n0 1\n"
@@ -103,6 +106,45 @@ def test_sample_no_partial_output_on_error(files):
         "--steps", "10", "--init-point", "-5", "-5", "--out", str(out),
     ])
     assert code == 3
+    assert not out.exists()
+
+
+def _finite_only_at(x0):
+    def f(x):
+        return 0.0 if np.array_equal(x, x0) else math.inf
+
+    return lambda gauss: LogConcaveTarget(f=f, alpha=0.0, beta=1.0)
+
+
+def test_sample_nonfinite_density_exit_codes(files, monkeypatch):
+    tmp, poly, gauss = files
+    out = tmp / "never.csv"
+    argv = [
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+        "--steps", "10", "--no-lazy", "--init-point", "1", "1",
+        "--out", str(out),
+    ]
+    # finite at the start, infinite at every proposal: numeric failure
+    monkeypatch.setattr(cli, "quadratic_target", _finite_only_at([1.0, 1.0]))
+    assert main(argv) == 4
+    # infinite already at the start: infeasible initial point
+    monkeypatch.setattr(cli, "quadratic_target", _finite_only_at([2.0, 2.0]))
+    assert main(argv) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--thin", "0"], ["--step-size", "-1"], ["--steps", "-1"], ["--chains", "0"]],
+)
+def test_sample_bad_walk_config_exits_2(files, flags):
+    tmp, poly, gauss = files
+    out = tmp / "never.csv"
+    code = main([
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+        "--steps", "10", "--init-point", "1", "1", "--out", str(out), *flags,
+    ])
+    assert code == 2
     assert not out.exists()
 
 

@@ -1,0 +1,88 @@
+"""Same-seed output bytes of the CLI, pinned across commits.
+
+The hashes below were recorded from fixed-seed runs on numpy 2.4 / scipy 1.17
+(x86-64, OpenBLAS). A change that moves them changes the RNG or floating-point
+contract and has to declare it. Only the body of each output is hashed: the
+leading '#' manifest echoes argument values (file names, package version), the
+trailing '#' stats block of `sample` is part of the body.
+"""
+
+import hashlib
+
+import pytest
+
+from dikinwalk import cli
+
+# a 3-D box [-1, 1]^3 cut by two tilted half-spaces; contains the origin
+POLYTOPE = """3 8
+1 0 0
+0 1 0
+0 0 1
+-1 0 0
+0 -1 0
+0 0 -1
+0.6 -0.8 0.1
+-0.3 -0.4 -0.866
+-1 -1 -1 -1 -1 -1 -0.9 -0.7
+"""
+
+GAUSSIAN = """3
+0.2 -0.1 0.05
+0.5 0.1 0
+0.1 0.4 -0.05
+0 -0.05 0.3
+"""
+
+GOLDEN = {
+    "soft": [
+        "3d344242e16749aed9f93870552fc6dd713abf28059d6ffd3e64f72a7be9b46c",
+        "d001a6352bcecfd8c1e2a43be17db4bc6f2cfb23755c4113c50fc3a850492b18",
+    ],
+    "lewis": "04a23919d3fdfaaf6f419e13c37ade4e89a13f4b83e9f76b9fe092f2142b008c",
+    "diagnose": "e18a8ae7efdfc08572f1ba2f2e94ba9ad0b6b5a4e3a5ac8d3438f557745cc5dd",
+}
+
+
+def _body_sha256(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    k = 0
+    while k < len(lines) and lines[k].startswith("#"):
+        k += 1
+    return hashlib.sha256("".join(lines[k:]).encode()).hexdigest()
+
+
+def _cli_body_sha256(argv, capsys) -> str:
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    return _body_sha256(capsys.readouterr().out)
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text(POLYTOPE)
+    (tmp_path / "g.txt").write_text(GAUSSIAN)
+    return ["--polytope", "p.txt", "--gaussian", "g.txt", "--lambda-from-beta"]
+
+
+def test_golden_sample_soft_two_chains(inputs, tmp_path):
+    # r adapts up from 0.05 during burn-in; both rejection kinds occur
+    argv = ["sample", *inputs, "--metric", "soft", "--steps", "300"]
+    argv += ["--burn-in", "600", "--step-size", "0.05", "--adapt"]
+    argv += ["--chains", "2", "--seed", "7"]
+    argv += ["--init-warmstart", "--header", "--out", "s.csv"]
+    assert cli.main(argv) == 0
+    chains = [(tmp_path / f"s_{i}.csv").read_text() for i in range(2)]
+    assert [_body_sha256(text) for text in chains] == GOLDEN["soft"]
+
+
+def test_golden_sample_lewis(inputs, capsys):
+    argv = ["sample", *inputs, "--metric", "lewis", "--steps", "40"]
+    argv += ["--burn-in", "10", "--step-size", "0.9", "--seed", "3"]
+    argv += ["--init-point", "0.1", "0", "0"]
+    assert _cli_body_sha256(argv, capsys) == GOLDEN["lewis"]
+
+
+def test_golden_diagnose(capsys):
+    argv = ["diagnose", "--trials", "20", "--seed", "0"]
+    assert _cli_body_sha256(argv, capsys) == GOLDEN["diagnose"]

@@ -182,3 +182,25 @@ def test_soft_matches_quadratic_form_definition():
             (P.A[i] @ h) / s[i] ** 2 * P.A[i] for i in range(P.m)
         ) + lam * h
         np.testing.assert_allclose(M.G @ h, direct, rtol=1e-10, atol=1e-10)
+
+
+def test_jittered_factor_reproduces_reported_G():
+    # one row in n = 2 leaves H rank one; lam = 1e-300 is lost in rounding,
+    # so the first Cholesky fails and the jitter retry runs
+    P = Polytope(A=np.array([[1.0, 1.0]]) / math.sqrt(2.0), b=np.array([0.0]))
+    M = soft_threshold_metric(P, np.array([1.0, 1.0]), lam=1e-300)
+    gap = np.abs(M.Q.T @ M.Q - M.G).max() / np.abs(M.G).max()
+    assert gap <= 1e-14
+    assert M.logdet == pytest.approx(np.linalg.slogdet(M.G)[1], rel=1e-12)
+
+
+def test_given_slacks_match_computed_ones():
+    rng = np.random.default_rng(3)
+    P = Polytope(A=rng.standard_normal((12, 4)), b=-rng.uniform(0.5, 1.0, 12))
+    x = 0.05 * rng.standard_normal(4)
+    s = P.A @ x - P.b
+    for kind in (SoftThreshold(lam=0.3), RegularizedLewis(lam=0.3)):
+        a, b = evaluate_metric(P, x, kind), evaluate_metric(P, x, kind, s)
+        np.testing.assert_array_equal(a.G, b.G)
+        np.testing.assert_array_equal(a.Q, b.Q)
+        assert a.logdet == b.logdet

@@ -8,6 +8,8 @@ from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, quadratic_target
 from dikinwalk.walk import (
     ChainState,
+    NonFiniteDensityError,
+    SampleBatch,
     StepStats,
     WalkConfig,
     WalkError,
@@ -159,6 +161,40 @@ def test_step_lazy_skip():
     assert st.stats.proposed == 0
 
 
+class _ScriptedRng:
+    """Lazy uniform, normals and MH uniform taken from fixed scripts."""
+
+    def __init__(self, uniforms, normal):
+        self.uniforms = list(uniforms)
+        self.normal = normal
+
+    def uniform(self):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self, n):
+        return np.full(n, self.normal)
+
+
+def test_step_mh_uniform_zero_accepts():
+    # u = 0 is a legal draw from [0, 1); it must act as log u = -inf
+    metric = SoftThreshold(lam=1.0)
+    target = quadratic_target(GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2)))
+    st = _state(FREE_2D, [0.0, 0.0], metric)
+    st.rng = _ScriptedRng(uniforms=[0.1, 0.0], normal=3.0)
+    step(st, target, FREE_2D, WalkConfig(metric=metric, r=1.0, lazy=True))
+    assert st.rng.uniforms == []  # lazy uniform, then the MH uniform
+    assert st.stats.accepted == 1
+    assert st.x[0] > 0.0
+
+
+def test_step_nonfinite_f_at_proposal_raises():
+    metric = SoftThreshold(lam=1.0)
+    target = LogConcaveTarget(f=lambda x: math.inf, alpha=0.0, beta=1.0)
+    st = _state(FREE_2D, [0.0, 0.0], metric)
+    with pytest.raises(NonFiniteDensityError):
+        step(st, target, FREE_2D, WalkConfig(metric=metric, lazy=False))
+
+
 def test_step_outside_rejection_skips_f():
     calls = []
 
@@ -290,6 +326,17 @@ def test_format_csv():
     data = [ln for ln in lines if not ln.startswith("#") and "," in ln and "x1" not in ln]
     assert len(data) == 3
     assert any(ln.startswith("# proposed=") for ln in lines)
+    # exact bytes: signed zero, subnormal-range and 17-digit values
+    samples = np.array([[-0.0, 1e-300, 0.12345678901234568], [0.1, -2.5, 1e16]])
+    batch = SampleBatch(samples=samples, stats=StepStats(), step_size=0.5, seed=4)
+    assert format_csv(batch, header=True) == (
+        "x1,x2,x3\n"
+        "-0,1e-300,0.12345678901234568\n"
+        "0.10000000000000001,-2.5,10000000000000000\n"
+        "# proposed=0 accepted=0\n"
+        "# lazy_skips=0 rejected_outside=0 rejected_mh=0\n"
+        "# step_size=0.5 seed=4\n"
+    )
 
 
 def test_stats_partition():
