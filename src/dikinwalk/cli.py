@@ -94,6 +94,8 @@ def parse_gaussian(text: str) -> GaussianTarget:
         n = int(rows[0])
     except ValueError:
         raise TargetError("first line must be the dimension n") from None
+    if n < 1:
+        raise TargetError("dimension n must be positive")
     if len(rows) != n + 2:
         raise TargetError(f"expected 1 mean line and {n} covariance rows")
     try:
@@ -165,11 +167,15 @@ def _resolve_metric(args: argparse.Namespace, beta: float | None):
         lam = args.lam
     else:
         raise CliError("specify --lambda or --lambda-from-beta", EXIT_PARSE)
-    if args.metric == "soft":
-        return SoftThreshold(lam=lam)
-    return RegularizedLewis(
-        lam=lam, c1=args.c1, c2=args.c2, q=args.q, tol=args.lewis_tol
-    )
+    # the metric's constructor validates the flag values
+    try:
+        if args.metric == "soft":
+            return SoftThreshold(lam=lam)
+        return RegularizedLewis(
+            lam=lam, c1=args.c1, c2=args.c2, q=args.q, tol=args.lewis_tol
+        )
+    except MetricError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
 
 
 def _build_target(args: argparse.Namespace, P):
@@ -331,6 +337,8 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.n_samples < 1:
+        raise CliError("--n-samples must be >= 1", EXIT_PARSE)
     P = _load_polytope(args.polytope)
     gauss = _load_gaussian(args.gaussian)
     rng = np.random.default_rng(args.seed)

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from dikinwalk.metrics import (
+    MetricEval,
     MetricKind,
     RegularizedLewis,
     SoftThreshold,
@@ -75,6 +76,13 @@ class CertReport:
             self.violations += 1
             if note and len(self.notes) < 10:
                 self.notes.append(note)
+
+    def merge(self, other: "CertReport") -> None:
+        """Add another run's counts into this one; notes are appended in order."""
+        self.trials += other.trials
+        self.violations += other.violations
+        self.max_slack = max(self.max_slack, other.max_slack)
+        self.notes.extend(other.notes)
 
 
 def cross_ratio(P: Polytope, x: np.ndarray, y: np.ndarray) -> float:
@@ -201,22 +209,34 @@ def compare_moments(batch_a: np.ndarray, batch_b: np.ndarray) -> MomentReport:
     )
 
 
+def _upper_solve(U: np.ndarray, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    """U^{-1} B (trans=0) or U^{-T} B (trans=1) for upper-triangular, F-ordered U.
+
+    LAPACK trtrs directly, with the arguments scipy.linalg.solve_triangular
+    passes it for such a U (or for U^T with lower=True), minus its
+    validation wrappers.
+    """
+    X, info = dtrtrs(U, B, lower=0, trans=trans)
+    if info != 0:
+        raise DiagnosticsError(f"triangular solve failed (LAPACK trtrs info {info})")
+    return X
+
+
 def _sym_inv_sandwich(M_x, G_y: np.ndarray) -> np.ndarray:
     """Q^{-T} G(y) Q^{-1}; orthogonally similar to G(x)^{-1/2} G(y) G(x)^{-1/2},
     so Frobenius norms and determinants agree."""
-    Qinv_Gy = scipy.linalg.solve_triangular(M_x.Q.T, G_y, lower=True)
-    return scipy.linalg.solve_triangular(M_x.Q.T, Qinv_Gy.T, lower=True).T
+    Qinv_Gy = _upper_solve(M_x.Q, G_y, trans=1)
+    return _upper_solve(M_x.Q, Qinv_Gy.T, trans=1).T
 
 
 def _interior_point_near(
-    P: Polytope, x0: np.ndarray, kind: MetricKind, rng: np.random.Generator
+    P: Polytope, x0: np.ndarray, M0: MetricEval, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random point in the open unit metric ellipsoid at x0 (resampled into K)."""
-    M0 = evaluate_metric(P, x0, kind)
+    """Random point in the open unit ellipsoid of M0 = G(x0), resampled into K."""
     for _ in range(100):
         u = rng.standard_normal(P.n)
         u *= rng.uniform() ** (1.0 / P.n) / np.linalg.norm(u)
-        x = x0 + 0.95 * scipy.linalg.solve_triangular(M0.Q, u, lower=False)
+        x = x0 + 0.95 * _upper_solve(M0.Q, u)
         if contains(P, x):
             return x
     raise DiagnosticsError("could not find an interior point near x0")
@@ -239,17 +259,18 @@ def certify_ssc(
     """
     report = CertReport(name=f"ssc[{_kind_name(kind)}]")
     n = P.n
+    M0 = evaluate_metric(P, x0, kind)  # a function of x0 alone: once per call
     done = 0
     attempts = 0
     while done < trials:
         attempts += 1
         if attempts > 50 * trials:
             raise DiagnosticsError("certify_ssc could not draw enough valid pairs")
-        x = _interior_point_near(P, x0, kind, rng)
+        x = _interior_point_near(P, x0, M0, rng)
         Mx = evaluate_metric(P, x, kind)
         delta = rng.uniform(1e-3, delta_max)
         u = rng.standard_normal(n)
-        h = scipy.linalg.solve_triangular(Mx.Q, u / np.linalg.norm(u), lower=False)
+        h = _upper_solve(Mx.Q, u / np.linalg.norm(u))
         y = x + delta * h
         if not contains(P, y):
             continue
@@ -285,8 +306,9 @@ def certify_symmetry(
         raise DiagnosticsError("symmetry certification needs m >= 1")
     report = CertReport(name="symmetry")
     m, n = P.m, P.n
+    M0 = evaluate_metric(P, x0, SoftThreshold(lam=1e-8))
     for _ in range(trials):
-        x = _interior_point_near(P, x0, SoftThreshold(lam=1e-8), rng)
+        x = _interior_point_near(P, x0, M0, rng)
         s = slack(P, x).s
         Ax = P.A / s[:, None]
         H = Ax.T @ Ax
@@ -301,15 +323,13 @@ def certify_symmetry(
             # pull fractionally inside the boundary sphere: the ellipsoid can
             # touch the facets, and membership is strict
             u *= (1.0 - 1e-9) / np.linalg.norm(u)
-            z = x + scipy.linalg.solve_triangular(Lh.T, u, lower=False)
+            z = x + _upper_solve(Lh.T, u)
             ok = contains(P, z) and contains(P, 2.0 * x - z)
             report.record(1.0 if not ok else 0.0, ok, note="unit H-ellipsoid left K")
             # rejection sample the symmetrized body inside an inflated ellipsoid
             v = rng.standard_normal(n)
             v *= rng.uniform() ** (1.0 / n) / np.linalg.norm(v)
-            z = x + 1.1 * math.sqrt(m) * scipy.linalg.solve_triangular(
-                Lh.T, v, lower=False
-            )
+            z = x + 1.1 * math.sqrt(m) * _upper_solve(Lh.T, v)
             if contains(P, z) and contains(P, 2.0 * x - z):
                 hn_sq = float(np.linalg.norm(Lh.T @ (z - x)) ** 2)
                 ok = hn_sq <= m + 1e-9
@@ -351,8 +371,6 @@ def random_polytope_with_interior(
 def diagnose_corpus(seed: int = 0, trials: int = 1000) -> list[CertReport]:
     """Standard randomized corpus: SSC for both metric kinds plus symmetry."""
     rng = np.random.default_rng(seed)
-    reports = []
-
     per_instance = max(1, trials // 20)
     ssc_soft = CertReport(name="ssc[soft]")
     ssc_lewis = CertReport(name="ssc[lewis]")
@@ -367,15 +385,6 @@ def diagnose_corpus(seed: int = 0, trials: int = 1000) -> list[CertReport]:
             (ssc_soft, SoftThreshold(lam=1.0)),
             (ssc_lewis, RegularizedLewis(lam=1.0, c1=2.0)),
         ):
-            sub = certify_ssc(P, x0, kind, per_instance, rng)
-            rep.trials += sub.trials
-            rep.violations += sub.violations
-            rep.max_slack = max(rep.max_slack, sub.max_slack)
-            rep.notes.extend(sub.notes)
-        sub = certify_symmetry(P, x0, per_instance, rng)
-        sym.trials += sub.trials
-        sym.violations += sub.violations
-        sym.max_slack = max(sym.max_slack, sub.max_slack)
-        sym.notes.extend(sub.notes)
-    reports.extend([ssc_soft, ssc_lewis, sym])
-    return reports
+            rep.merge(certify_ssc(P, x0, kind, per_instance, rng))
+        sym.merge(certify_symmetry(P, x0, per_instance, rng))
+    return [ssc_soft, ssc_lewis, sym]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from dikinwalk.polytope import Polytope
 
@@ -63,6 +63,8 @@ class RegularizedLewis:
             raise MetricError("need c1 > 0 and c2 >= 0")
         if self.q is not None and (self.q < 4 or self.q % 2 != 0):
             raise MetricError("q must be an even integer >= 4")
+        if not self.tol > 0 or self.max_iter < 1:
+            raise MetricError("need tol > 0 and max_iter >= 1")
 
 
 MetricKind = Union[SoftThreshold, RegularizedLewis]
@@ -105,6 +107,9 @@ def _cholesky_upper(G: np.ndarray) -> tuple[np.ndarray, float]:
         except np.linalg.LinAlgError:
             raise MetricError("Cholesky failed even after jitter") from None
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
+    if not math.isfinite(logdet):
+        # an overflowed G (slacks near 0) factors without error into infinities
+        raise MetricError("non-finite metric: log det G is not finite")
     return L.T, logdet
 
 
@@ -160,20 +165,31 @@ def lewis_weights(
     if q < 4 or q % 2 != 0:
         raise MetricError("q must be an even integer >= 4")
     cq = 1.0 - 2.0 / q
+    AxT = Ax.T  # F-contiguous view: dpotrs takes it without a transposing copy
+    # the weights stay in (0, 1], so this Gram bounds every weighted Gram below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_finite = np.isfinite(AxT @ Ax).all()
+    if not gram_finite:
+        raise MetricError("non-finite row-scaled Gram matrix")
     w = np.full(m, n / m)
     residual = np.inf
     for it in range(1, max_iter + 1):
-        Mw = Ax.T @ (w[:, None] ** cq * Ax)
-        try:
-            cho = scipy.linalg.cho_factor(Mw, lower=True)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-            raise MetricError("rank-deficient weighted Gram matrix") from None
-        B = scipy.linalg.cho_solve(cho, Ax.T)  # n x m
+        wc = w**cq
+        Mw = AxT @ (wc[:, None] * Ax)
+        # scipy's LAPACK called directly, as cho_factor / cho_solve call it:
+        # numpy's linalg links a different build whose low bits differ, and
+        # these weights feed G, so same-seed output depends on every bit
+        c, info = dpotrf(Mw, lower=1, clean=0)
+        if info > 0:
+            raise MetricError("rank-deficient weighted Gram matrix")
+        B = dpotrs(c, AxT, lower=1)[0]  # n x m
         quad = np.einsum("ij,ji->i", Ax, B)
-        tau = w**cq * quad
+        tau = wc * quad
         residual = float(np.max(np.abs(w - tau) / w))
         if residual <= tol:
             return LewisWeights(w=w, residual=residual, iterations=it)
+        if not math.isfinite(residual):
+            raise MetricError("non-finite Lewis weights")
         w = np.sqrt(w * tau)
     raise LewisConvergenceError(residual, max_iter)
 

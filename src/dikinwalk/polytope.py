@@ -163,14 +163,16 @@ def parse_polytope(text: str) -> Polytope:
             + (" and one b line" if m > 0 else ""),
             body[expected][0] if len(body) > expected else lineno,
         )
+    # every row is counted before the header's n sizes an array
+    for rowno, row in body[:m]:
+        k = len(row.split())
+        if k != n:
+            raise PolytopeFormatError(f"expected {n} floats, got {k}", rowno)
     A = np.zeros((m, n))
     for i in range(m):
         rowno, row = body[i]
-        toks = row.split()
-        if len(toks) != n:
-            raise PolytopeFormatError(f"expected {n} floats, got {len(toks)}", rowno)
         try:
-            A[i] = [float(t) for t in toks]
+            A[i] = [float(t) for t in row.split()]
         except ValueError:
             raise PolytopeFormatError("non-numeric token", rowno) from None
     b = np.zeros(m)

@@ -41,6 +41,8 @@ def test_gaussian_parse_errors():
         parse_gaussian("2\n0 0\n1 0\n")  # missing covariance row
     with pytest.raises(TargetError):
         parse_gaussian("x\n0\n1\n")
+    with pytest.raises(TargetError):
+        parse_gaussian("-1")  # n + 2 == 1 matches the line count
 
 
 def test_sample_row_count_and_header(files):
@@ -148,6 +150,40 @@ def test_sample_bad_walk_config_exits_2(files, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambda", "-1"], ["--lambda", "1", "--metric", "lewis", "--q", "3"],
+     ["--lambda", "1", "--metric", "lewis", "--c1", "0"],
+     ["--lambda", "1", "--metric", "lewis", "--lewis-tol", "-1"]],
+)
+def test_sample_bad_metric_flags_exit_2(files, flags):
+    tmp, poly, gauss = files
+    code = main([
+        "sample", "--polytope", poly, "--gaussian", gauss,
+        "--steps", "10", "--init-point", "1", "1", *flags,
+    ])
+    assert code == 2
+
+
+@pytest.mark.parametrize("metric", ["soft", "lewis"])
+def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys):
+    # in (0, 1) at x = 1e-300 the metric overflows: a numeric failure, not a
+    # traceback and not a chain stuck at its start
+    poly = tmp_path / "unit.txt"
+    poly.write_text("1 2\n1\n-1\n0 -1\n")
+    gauss = tmp_path / "g.txt"
+    gauss.write_text("1\n0.5\n1\n")
+    out = tmp_path / "never.csv"
+    code = main([
+        "sample", "--polytope", str(poly), "--gaussian", str(gauss),
+        "--lambda", "1", "--metric", metric, "--steps", "5",
+        "--init-point", "1e-300", "--out", str(out),
+    ])
+    assert code == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_multichain(files):
     tmp, poly, gauss = files
     out = tmp / "c.csv"
@@ -247,6 +283,14 @@ def test_oracle_output(files):
         x = [float(v) for v in row.split(",")]
         assert x[0] > 0 and x[1] > 0
     assert "# acceptance=" in out.read_text()
+
+
+def test_oracle_needs_a_sample(files):
+    tmp, poly, gauss = files
+    code = main([
+        "oracle", "--polytope", poly, "--gaussian", gauss, "--n-samples", "0",
+    ])
+    assert code == 2
 
 
 def test_diagnose_exit_zero(files, capsys):

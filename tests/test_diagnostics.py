@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dikinwalk.diagnostics import (
+    CertReport,
     DiagnosticsError,
     certify_ssc,
     certify_symmetry,
@@ -216,6 +217,24 @@ def test_certify_symmetry_orthant_corner_case():
     rep = certify_symmetry(P, x, 200, rng)
     assert rep.violations == 0
     assert rep.max_slack <= 1.0 + 1e-9  # normalized by m
+
+
+def test_cert_report_merge():
+    total = CertReport(name="ssc[soft]")
+    a = CertReport(name="ssc[soft]")
+    a.record(0.5, True)
+    a.record(1.5, False, note="first")
+    b = CertReport(name="ssc[soft]")
+    for k in range(12):
+        b.record(2.0 + k, False, note=f"b{k}")
+    total.merge(a)
+    total.merge(b)
+    total.merge(CertReport(name="ssc[soft]"))
+    assert (total.trials, total.violations) == (14, 13)
+    assert total.max_slack == 13.0
+    # each part keeps at most 10 notes; the merged report keeps them all, in order
+    assert total.notes == ["first"] + [f"b{k}" for k in range(10)]
+    assert (a.trials, a.notes) == (2, ["first"])
 
 
 def test_random_polytope_interior_point():

@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from dikinwalk import cli
+from dikinwalk.diagnostics import diagnose_corpus
 
 # a 3-D box [-1, 1]^3 cut by two tilted half-spaces; contains the origin
 POLYTOPE = """3 8
@@ -40,6 +41,12 @@ GOLDEN = {
     ],
     "lewis": "04a23919d3fdfaaf6f419e13c37ade4e89a13f4b83e9f76b9fe092f2142b008c",
     "diagnose": "e18a8ae7efdfc08572f1ba2f2e94ba9ad0b6b5a4e3a5ac8d3438f557745cc5dd",
+    # diagnose_corpus(seed, trials=40) for seeds 0, 1, 2, every bit of max_slack
+    "certify": [
+        "04739e6d7f09ed5688151bf70ab0219f95e6f684e0a52175353e57a8f1c5d6dc",
+        "4ef103ecf80fa2a46b0a43a3962a485aba96359cd8a3014a53fa6426736c9434",
+        "ef99da11281d3172246935d085175a447e5fc12fe0b66873e3cbc352b06cda65",
+    ],
 }
 
 
@@ -86,3 +93,13 @@ def test_golden_sample_lewis(inputs, capsys):
 def test_golden_diagnose(capsys):
     argv = ["diagnose", "--trials", "20", "--seed", "0"]
     assert _cli_body_sha256(argv, capsys) == GOLDEN["diagnose"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_golden_certify_full_precision(seed):
+    # the diagnose output rounds max_slack to 6 decimals; this sees every bit
+    text = "".join(
+        f"{r.name} {r.trials} {r.violations} {r.max_slack.hex()} {r.notes!r}\n"
+        for r in diagnose_corpus(seed=seed, trials=40)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["certify"][seed]

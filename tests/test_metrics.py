@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dikinwalk.diagnostics import lewis_fixed_point_residual
 from dikinwalk.metrics import (
+    LewisConvergenceError,
     MetricError,
     RegularizedLewis,
     SoftThreshold,
@@ -90,6 +92,73 @@ def test_lewis_random_instances():
         assert lewis_fixed_point_residual(Ax, lw.w, q) <= 1e-7
         assert abs(lw.w.sum() - n) <= 1e-6
         assert np.all(lw.w > 0)
+
+
+def _lewis_weights_cho(Ax, q, tol=1e-8, max_iter=1000):
+    """The fixed point on scipy's cho_factor / cho_solve wrappers, as a reference."""
+    m, n = Ax.shape
+    cq = 1.0 - 2.0 / q
+    w = np.full(m, n / m)
+    for it in range(1, max_iter + 1):
+        Mw = Ax.T @ (w[:, None] ** cq * Ax)
+        cho = scipy.linalg.cho_factor(Mw, lower=True)
+        B = scipy.linalg.cho_solve(cho, Ax.T)
+        quad = np.einsum("ij,ji->i", Ax, B)
+        tau = w**cq * quad
+        residual = float(np.max(np.abs(w - tau) / w))
+        if residual <= tol:
+            return w, residual, it
+        w = np.sqrt(w * tau)
+    return None
+
+
+def test_lewis_weights_bit_equal_to_wrapped_reference():
+    # direct LAPACK must reproduce the wrapped calls to the last bit: the
+    # weights feed G, and so the same-seed output of a Lewis walk
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        n = int(rng.integers(1, 9))
+        m = n if k % 4 == 0 else int(rng.integers(n, 41))
+        q = int(rng.choice([4, 6, 8, 12]))
+        Ax = rng.standard_normal((m, n)) / rng.uniform(0.05, 2.0, size=m)[:, None]
+        ref = _lewis_weights_cho(Ax, q)
+        if ref is None:
+            with pytest.raises(LewisConvergenceError):
+                lewis_weights(Ax, q)
+            continue
+        lw = lewis_weights(Ax, q)
+        assert np.array_equal(lw.w, ref[0])
+        assert lw.residual == ref[1]
+        assert lw.iterations == ref[2]
+
+
+def test_lewis_rank_deficient_raises():
+    with pytest.raises(MetricError, match="rank-deficient"):
+        lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), q=4)
+
+
+@pytest.mark.parametrize(
+    "Ax",
+    [
+        [[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        [[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]],  # overflows the Gram matrix
+        [[1e150], [1e-150]],  # the second weight underflows to 0
+    ],
+)
+def test_lewis_non_finite_raises_at_once(Ax):
+    # each fails at once, not as a LewisConvergenceError after max_iter
+    with pytest.raises(MetricError, match="non-finite") as exc:
+        lewis_weights(np.array(Ax), q=4)
+    assert not isinstance(exc.value, LewisConvergenceError)
+
+
+@pytest.mark.parametrize("kind", [SoftThreshold(lam=1.0), RegularizedLewis(lam=1.0)])
+def test_metric_non_finite_near_boundary(kind):
+    # at x = 1e-300 in (0, 1), A / s overflows once squared
+    P = Polytope(A=np.array([[1.0], [-1.0]]), b=np.array([0.0, -1.0]))
+    with pytest.raises(MetricError, match="non-finite"):
+        evaluate_metric(P, np.array([1e-300]), kind)
 
 
 def test_lewis_needs_enough_rows():

@@ -152,6 +152,12 @@ def test_parse_bad_header():
         parse_polytope("")
 
 
+def test_parse_huge_header_allocates_nothing():
+    # a row of the wrong length is reported before n sizes any array
+    with pytest.raises(PolytopeFormatError, match="line 2"):
+        parse_polytope("1000000000000 1\n1\n0\n")
+
+
 def test_parse_error_carries_line_number():
     try:
         parse_polytope("# comment\n2 1\n1 oops\n0\n")
