@@ -13,7 +13,6 @@ from dikinwalk.polytope import (
     Chord,
     Polytope,
     PolytopeError,
-    Slack,
     chord,
     contains,
     make_box,
@@ -38,12 +37,8 @@ from dikinwalk.metrics import (
     RegularizedLewis,
     SoftThreshold,
     default_lewis_q,
-    dikin_ellipsoid_contains,
     evaluate_metric,
     lewis_weights,
-    local_norm,
-    regularized_lewis_metric,
-    soft_threshold_metric,
 )
 from dikinwalk.walk import (
     ChainState,
@@ -72,7 +67,6 @@ from dikinwalk.planner import (
 )
 from dikinwalk.diagnostics import (
     CertReport,
-    MetricPairReport,
     MomentReport,
     OracleSamples,
     certify_ssc,

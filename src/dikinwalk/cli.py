@@ -3,8 +3,9 @@
 Every output file starts with a '#' manifest block recording the resolved
 parameters; stripping comment lines leaves machine-parseable data only.
 Files are written to a temp path and renamed on success, so errors never
-leave partial outputs. Exit codes: 0 ok, 2 file/parse error, 3 infeasible
-initial point, 4 numeric failure.
+leave partial outputs. Exit codes: 0 ok, 1 `diagnose` found violations,
+2 file/parse error or invalid flag value, 3 infeasible initial point,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -147,15 +148,31 @@ def _write_output(path: str | None, content: str) -> None:
         sys.stdout.write(content)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dikinwalk-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dikinwalk-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_PARSE) from exc
+
+
+def _check_seed(args: argparse.Namespace) -> None:
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0", EXIT_PARSE)
+
+
+def _check_ball_flags(args: argparse.Namespace) -> None:
+    # warm_start_ball rejects these too, but as a planner (numeric) failure
+    if not args.r_tilde > 0:
+        raise CliError("--r-tilde must be positive", EXIT_PARSE)
+    if args.outer_radius is not None and not 0 < args.outer_radius < np.inf:
+        raise CliError("--outer-radius must be positive and finite", EXIT_PARSE)
 
 
 def _resolve_metric(args: argparse.Namespace, beta: float | None):
@@ -204,6 +221,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise CliError(str(exc), EXIT_PARSE) from exc
     if args.chains < 1:
         raise CliError("--chains must be >= 1", EXIT_PARSE)
+    _check_seed(args)
     if args.init_point is not None:
         x0 = np.array(args.init_point, dtype=float)
         if x0.shape[0] != P.n:
@@ -212,6 +230,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise CliError("initial point is not interior", EXIT_INFEASIBLE)
         init = x0
     elif args.init_warmstart:
+        _check_ball_flags(args)
         try:
             modes = solve_modes(target, P)
             ball = warm_start_ball(
@@ -268,6 +287,7 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def cmd_warmstart(args: argparse.Namespace) -> int:
+    _check_ball_flags(args)
     P = _load_polytope(args.polytope)
     _, target = _build_target(args, P)
     try:
@@ -290,12 +310,12 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    metric = (
-        SoftThreshold(lam=1.0)
-        if args.metric == "soft"
-        else RegularizedLewis(lam=1.0, c1=args.c1, c2=args.c2)
-    )
     try:
+        metric = (
+            SoftThreshold(lam=1.0)
+            if args.metric == "soft"
+            else RegularizedLewis(lam=1.0, c1=args.c1, c2=args.c2)
+        )
         qry = MixingBudgetQuery(
             regime=args.regime,
             m=args.m,
@@ -309,7 +329,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
             psi_n_sq=args.psi_n_sq,
         )
         T = mixing_budget(qry)
-    except PlannerError as exc:
+    except (MetricError, PlannerError) as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     pairs = [("T", T)]
     if args.beyond_worst_case:
@@ -339,6 +359,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.n_samples < 1:
         raise CliError("--n-samples must be >= 1", EXIT_PARSE)
+    _check_seed(args)
     P = _load_polytope(args.polytope)
     gauss = _load_gaussian(args.gaussian)
     rng = np.random.default_rng(args.seed)
@@ -353,6 +374,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise CliError("--trials must be >= 1", EXIT_PARSE)
+    _check_seed(args)
     reports = diagnose_corpus(seed=args.seed, trials=args.trials)
     lines = []
     total_violations = 0
@@ -452,7 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="run the certification corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=1000,
+        help="trials per check, rounded down to a multiple of 20 with a floor of 20",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diagnose)
 
@@ -462,8 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the library turns a non-finite G, log det, Lewis weight or f into an
+    # error of its own, so numpy's overflow warnings would only repeat it
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

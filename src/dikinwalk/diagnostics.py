@@ -25,6 +25,10 @@ from dikinwalk.metrics import (
 from dikinwalk.polytope import Polytope, chord, contains, slack
 
 
+SSC_DELTA_MAX = 0.4  # largest G(x)-norm step certify_ssc draws
+MIN_SLACK = 0.2  # least slack of a random instance at its interior point
+
+
 class DiagnosticsError(ValueError):
     """Invalid diagnostics inputs or an oracle that cannot make progress."""
 
@@ -39,16 +43,6 @@ class MomentReport:
     cov_b: np.ndarray
     z_scores: np.ndarray
     max_abs_z: float
-
-
-@dataclass(frozen=True)
-class MetricPairReport:
-    """The four distances between one interior pair."""
-
-    d_cross: float
-    d_hilbert: float
-    d_mixed_strong: float
-    d_mixed_weak: float
 
 
 @dataclass(frozen=True)
@@ -136,18 +130,6 @@ def mixed_distance(
     raise DiagnosticsError(f"unknown mode {mode!r}")
 
 
-def metric_pair_report(
-    P: Polytope, x: np.ndarray, y: np.ndarray, alpha: float, eta: float
-) -> MetricPairReport:
-    d_cross = cross_ratio(P, x, y)
-    return MetricPairReport(
-        d_cross=d_cross,
-        d_hilbert=math.log1p(d_cross),
-        d_mixed_strong=mixed_distance(P, x, y, alpha, "strong"),
-        d_mixed_weak=mixed_distance(P, x, y, eta, "weak"),
-    )
-
-
 def rejection_oracle(
     G, P: Polytope, N: int, rng: np.random.Generator, batch: int = 10000
 ) -> OracleSamples:
@@ -164,10 +146,7 @@ def rejection_oracle(
     empty_batches = 0
     while accepted < N:
         draws = G.mu + rng.standard_normal((batch, G.n)) @ L.T
-        if P.m > 0:
-            mask = np.all(draws @ P.A.T - P.b > 0.0, axis=1)
-        else:
-            mask = np.ones(batch, dtype=bool)
+        mask = np.all(draws @ P.A.T - P.b > 0.0, axis=1)
         total += batch
         got = int(mask.sum())
         if got == 0:
@@ -248,11 +227,10 @@ def certify_ssc(
     kind: MetricKind,
     trials: int,
     rng: np.random.Generator,
-    delta_max: float = 0.4,
 ) -> CertReport:
     """Check the metric-stability bounds for nearby interior pairs.
 
-    For delta = |y - x|_{G(x)} <= delta_max:
+    For delta = |y - x|_{G(x)} <= SSC_DELTA_MAX:
       |G(x)^{-1/2}(G(y)-G(x))G(x)^{-1/2}|_F <= 2 delta / (1-delta)^2 + 1e-6,
     and for delta <= 1/2:
       det(G(x)^{-1/2} G(y) G(x)^{-1/2}) <= exp(8 sqrt(n) delta) (1 + 1e-6).
@@ -268,7 +246,7 @@ def certify_ssc(
             raise DiagnosticsError("certify_ssc could not draw enough valid pairs")
         x = _interior_point_near(P, x0, M0, rng)
         Mx = evaluate_metric(P, x, kind)
-        delta = rng.uniform(1e-3, delta_max)
+        delta = rng.uniform(1e-3, SSC_DELTA_MAX)
         u = rng.standard_normal(n)
         h = _upper_solve(Mx.Q, u / np.linalg.norm(u))
         y = x + delta * h
@@ -309,7 +287,7 @@ def certify_symmetry(
     M0 = evaluate_metric(P, x0, SoftThreshold(lam=1e-8))
     for _ in range(trials):
         x = _interior_point_near(P, x0, M0, rng)
-        s = slack(P, x).s
+        s = slack(P, x)
         Ax = P.A / s[:, None]
         H = Ax.T @ Ax
         try:
@@ -352,10 +330,7 @@ def _kind_name(kind: MetricKind) -> str:
 
 
 def random_polytope_with_interior(
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    min_slack: float = 0.2,
+    n: int, m: int, rng: np.random.Generator
 ) -> tuple[Polytope, np.ndarray]:
     """Random full-dimensional instance with a known interior point at the origin."""
     A = rng.standard_normal((m, n))
@@ -364,12 +339,18 @@ def random_polytope_with_interior(
         A = rng.standard_normal((m, n))
         norms = np.linalg.norm(A, axis=1)
     A /= norms[:, None]
-    b = -rng.uniform(min_slack, 1.5, size=m)  # slack at 0 is -b > 0
+    b = -rng.uniform(MIN_SLACK, 1.5, size=m)  # slack at 0 is -b > 0
     return Polytope(A=A, b=b), np.zeros(n)
 
 
 def diagnose_corpus(seed: int = 0, trials: int = 1000) -> list[CertReport]:
-    """Standard randomized corpus: SSC for both metric kinds plus symmetry."""
+    """Standard randomized corpus: SSC for both metric kinds plus symmetry.
+
+    Each of the 20 instances runs max(1, trials // 20) trials per check, so
+    trials is rounded down to a multiple of 20, with a floor of 20.
+    """
+    if trials < 1:
+        raise DiagnosticsError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     per_instance = max(1, trials // 20)
     ssc_soft = CertReport(name="ssc[soft]")

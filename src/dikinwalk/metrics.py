@@ -9,7 +9,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from dikinwalk.polytope import Polytope
+from dikinwalk.polytope import Polytope, slack
 
 
 class MetricError(ValueError):
@@ -77,7 +77,6 @@ class MetricEval:
     G: np.ndarray
     Q: np.ndarray
     logdet: float
-    at: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,37 +115,6 @@ def _cholesky_upper(G: np.ndarray) -> tuple[np.ndarray, float]:
 def _diagonal(G: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a C-contiguous square matrix."""
     return G.ravel()[:: G.shape[0] + 1]
-
-
-def _row_scaled(P: Polytope, x: np.ndarray, s: np.ndarray | None) -> np.ndarray:
-    """A_x = S^{-1} A at interior x, from the slacks s = Ax - b.
-
-    The slacks are computed and checked here unless the caller passes them.
-    """
-    if s is None:
-        s = P.A @ x - P.b
-        if not (s > 0.0).all():
-            raise MetricError("point is on or outside the boundary")
-    return P.A / s[:, None]
-
-
-def soft_threshold_metric(
-    P: Polytope, x: np.ndarray, lam: float, s: np.ndarray | None = None
-) -> MetricEval:
-    """G = A_x^T A_x + lam I = sum_i a_i a_i^T / s_i^2 + lam I at interior x.
-
-    A caller that already holds the slacks s = Ax - b at a 1-D float x, all
-    positive, passes them to skip recomputing and rechecking them.
-    """
-    if not lam > 0:
-        raise MetricError("lambda must be positive")
-    if s is None:
-        x = P._check_dim(x)
-    Ax = _row_scaled(P, x, s)
-    G = Ax.T @ Ax
-    _diagonal(G)[:] += lam
-    Q, logdet = _cholesky_upper(G)
-    return MetricEval(G=G, Q=Q, logdet=logdet, at=x)
 
 
 def lewis_weights(
@@ -194,50 +162,36 @@ def lewis_weights(
     raise LewisConvergenceError(residual, max_iter)
 
 
-def regularized_lewis_metric(
-    P: Polytope, x: np.ndarray, params: RegularizedLewis, s: np.ndarray | None = None
-) -> MetricEval:
-    """G = c1 sqrt(n) (log m)^c2 A_x^T W A_x + lam I with W the Lewis weights.
-
-    Optional slacks s as in soft_threshold_metric.
-    """
-    if s is None:
-        x = P._check_dim(x)
-    m, n = P.m, P.n
-    if m < n:
-        raise MetricError(
-            f"regularized Lewis metric needs m >= n (m={m}, n={n}); "
-            "use the soft-threshold metric instead"
-        )
-    Ax = _row_scaled(P, x, s)
-    q = params.q if params.q is not None else default_lewis_q(m)
-    lw = lewis_weights(Ax, q=q, tol=params.tol, max_iter=params.max_iter)
-    scale = params.c1 * math.sqrt(n) * math.log(m) ** params.c2
-    G = scale * (Ax.T @ (lw.w[:, None] * Ax))
-    _diagonal(G)[:] += params.lam
-    Q, logdet = _cholesky_upper(G)
-    return MetricEval(G=G, Q=Q, logdet=logdet, at=x)
-
-
 def evaluate_metric(
     P: Polytope, x: np.ndarray, kind: MetricKind, s: np.ndarray | None = None
 ) -> MetricEval:
-    """Dispatch on the metric kind; optional slacks s as in soft_threshold_metric."""
+    """G(x) = H(x) + lam I at interior x, with its factor and log det.
+
+    With A_x = S^{-1} A (S the diagonal of the slacks), the kind picks only
+    the barrier term H:
+
+    - SoftThreshold: H = A_x^T A_x = sum_i a_i a_i^T / s_i^2;
+    - RegularizedLewis: H = c1 sqrt(n) (log m)^c2 A_x^T W A_x, W the Lewis
+      weights of A_x (needs m >= n).
+
+    A caller that already holds the slacks s = Ax - b at a 1-D float x, all
+    positive, passes them to skip recomputing and rechecking them.
+    """
+    if s is None:
+        s = slack(P, x)
+        if not (s > 0.0).all():
+            raise MetricError("point is on or outside the boundary")
+    Ax = P.A / s[:, None]
     if isinstance(kind, SoftThreshold):
-        return soft_threshold_metric(P, x, kind.lam, s)
-    if isinstance(kind, RegularizedLewis):
-        return regularized_lewis_metric(P, x, kind, s)
-    raise MetricError(f"unknown metric kind {kind!r}")
-
-
-def local_norm(M: MetricEval, h: np.ndarray) -> float:
-    """sqrt(h^T G h), computed as the Euclidean norm of Q h."""
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != M.Q.shape[0]:
-        raise MetricError("dimension mismatch")
-    return float(np.linalg.norm(M.Q @ h))
-
-
-def dikin_ellipsoid_contains(M: MetricEval, z: np.ndarray) -> bool:
-    """True iff z is in the closed unit ellipsoid of G centered at the eval point."""
-    return local_norm(M, np.asarray(z, dtype=float) - M.at) <= 1.0
+        G = Ax.T @ Ax
+    elif isinstance(kind, RegularizedLewis):
+        m, n = Ax.shape
+        q = kind.q if kind.q is not None else default_lewis_q(m)
+        lw = lewis_weights(Ax, q=q, tol=kind.tol, max_iter=kind.max_iter)
+        scale = kind.c1 * math.sqrt(n) * math.log(m) ** kind.c2
+        G = scale * (Ax.T @ (lw.w[:, None] * Ax))
+    else:
+        raise MetricError(f"unknown metric kind {kind!r}")
+    _diagonal(G)[:] += kind.lam
+    Q, logdet = _cholesky_upper(G)
+    return MetricEval(G=G, Q=Q, logdet=logdet)

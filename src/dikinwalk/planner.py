@@ -17,6 +17,13 @@ from dikinwalk.polytope import Polytope, chord
 from dikinwalk.target import LogConcaveTarget, RegimeError
 
 
+MODE_TOL = 1e-8  # gradient norm / KKT residual at which solve_modes stops
+MODE_MAX_ITER = 100000  # gradient steps per mode in solve_modes
+DYKSTRA_SWEEPS = 100  # passes over the half-spaces per projection
+DYKSTRA_TOL = 1e-10  # largest move in a sweep at which the projection stops
+DELTA_GRID = np.logspace(-2, 3, 32)  # default delta grid of beyond_worst_case_budget
+
+
 class PlannerError(ValueError):
     """Invalid planner inputs."""
 
@@ -75,6 +82,9 @@ class MixingBudgetQuery:
             raise PlannerError("strong regime needs kappa")
         if self.regime == "weak" and self.beta_eta is None:
             raise PlannerError("weak regime needs beta_eta")
+        values = (self.M, self.C, self.kappa, self.beta_eta, self.psi_n_sq)
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise PlannerError("M, C, kappa, beta_eta and psi_n_sq must be finite")
 
 
 @dataclass(frozen=True)
@@ -89,22 +99,18 @@ class BudgetResult:
 
 def _margins(P: Polytope, x: np.ndarray) -> np.ndarray:
     """Per-constraint Euclidean distance margins (a_i^T x - b_i) / |a_i|."""
-    if P.m == 0:
-        return np.full(1, np.inf)
     norms = np.linalg.norm(P.A, axis=1)
     return (P.A @ x - P.b) / norms
 
 
-def _project_polytope(
-    P: Polytope, y: np.ndarray, sweeps: int = 100, tol: float = 1e-10
-) -> np.ndarray:
+def _project_polytope(P: Polytope, y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the closure of K by Dykstra's alternating method."""
-    if P.m == 0 or bool(np.all(P.A @ y - P.b >= 0.0)):
+    if bool(np.all(P.A @ y - P.b >= 0.0)):
         return y.copy()
     x = y.copy()
     corrections = np.zeros((P.m, P.n))
     norms_sq = np.einsum("ij,ij->i", P.A, P.A)
-    for _ in range(sweeps):
+    for _ in range(DYKSTRA_SWEEPS):
         max_move = 0.0
         for i in range(P.m):
             v = x + corrections[i]
@@ -116,17 +122,12 @@ def _project_polytope(
             corrections[i] = v - proj
             max_move = max(max_move, float(np.linalg.norm(proj - x)))
             x = proj
-        if max_move <= tol:
+        if max_move <= DYKSTRA_TOL:
             break
     return x
 
 
-def solve_modes(
-    target: LogConcaveTarget,
-    P: Polytope,
-    tol: float = 1e-8,
-    max_iter: int = 100000,
-) -> ModePair:
+def solve_modes(target: LogConcaveTarget, P: Polytope) -> ModePair:
     """Gradient descent for the global mode, projected gradient descent for the
     constrained one (projection via Dykstra sweeps over half-spaces)."""
     if target.grad_f is None:
@@ -136,22 +137,22 @@ def solve_modes(
     lr = 1.0 / target.beta
     x = np.zeros(P.n)
     grad_norm = np.inf
-    for _ in range(max_iter):
+    for _ in range(MODE_MAX_ITER):
         g = target.grad_f(x)
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= tol:
+        if grad_norm <= MODE_TOL:
             break
         x = x - lr * g
     x_star = x
 
     x = _project_polytope(P, x_star)
     kkt = np.inf
-    for _ in range(max_iter):
+    for _ in range(MODE_MAX_ITER):
         g = target.grad_f(x)
         x_next = _project_polytope(P, x - lr * g)
         kkt = float(np.linalg.norm(x_next - x)) * target.beta
         x = x_next
-        if kkt <= tol:
+        if kkt <= MODE_TOL:
             break
     return ModePair(
         x_star=x_star, x_dag=x, grad_norm_star=grad_norm, kkt_residual_dag=kkt
@@ -194,6 +195,8 @@ def warm_start_ball(
     x1 = P._check_dim(x1)
     if not r_tilde > 0:
         raise PlannerError("r_tilde must be positive")
+    if outer_radius is not None and not 0 < outer_radius < math.inf:
+        raise PlannerError("outer_radius must be positive and finite")
     if target.beta <= 0:
         raise PlannerError("beta must be positive")
     if P.m > 0 and np.min(_margins(P, x1)) < r_tilde - 1e-9:
@@ -290,15 +293,8 @@ def violated_constraint_count(P: Polytope, center: np.ndarray, rho: float) -> in
     if rho < 0:
         raise PlannerError("rho must be nonnegative")
     center = P._check_dim(center)
-    if P.m == 0:
-        return 0
     norms = np.linalg.norm(P.A, axis=1)
     return int(np.count_nonzero(P.A @ center - P.b <= norms * rho))
-
-
-def default_delta_grid() -> np.ndarray:
-    """Logarithmic grid over [1e-2, 1e3], 32 points."""
-    return np.logspace(-2, 3, 32)
 
 
 def beyond_worst_case_budget(
@@ -326,7 +322,7 @@ def beyond_worst_case_budget(
     ups = radius_hat(eps / (2.0 * M), n)
     scale = math.sqrt(n / target.alpha)
     log_term = max(0.0, math.log(2.0 * M / eps))
-    grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid)
+    grid = DELTA_GRID if delta_grid is None else np.asarray(delta_grid)
     best_val = kappa * n + n * m  # delta -> infinity sentinel
     best_delta = math.inf
     best_count = m

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,24 +65,6 @@ class Polytope:
 
 
 @dataclass(frozen=True)
-class Slack:
-    """Per-constraint slacks s_i = a_i^T x - b_i at a point, all strictly positive."""
-
-    s: np.ndarray
-    A: np.ndarray = field(repr=False)
-
-    @property
-    def S(self) -> np.ndarray:
-        """Diagonal matrix view of the slacks."""
-        return np.diag(self.s)
-
-    @property
-    def A_x(self) -> np.ndarray:
-        """Row-scaled constraint matrix S^{-1} A."""
-        return self.A / self.s[:, None]
-
-
-@dataclass(frozen=True)
 class Chord:
     """Parameter interval of {t | x + t d in K}; endpoints may be +-inf."""
 
@@ -90,19 +72,14 @@ class Chord:
     t_plus: float
 
 
-def slack(P: Polytope, x: np.ndarray) -> Slack:
-    """Compute slacks Ax - b; x need not be interior (caller checks signs)."""
-    x = P._check_dim(x)
-    s = P.A @ x - P.b if P.m > 0 else np.zeros(0)
-    return Slack(s=s, A=P.A)
+def slack(P: Polytope, x: np.ndarray) -> np.ndarray:
+    """Slacks s = Ax - b; x need not be interior (caller checks signs)."""
+    return P.A @ P._check_dim(x) - P.b
 
 
 def contains(P: Polytope, x: np.ndarray) -> bool:
     """Strict membership: every slack positive. m = 0 contains everything."""
-    x = P._check_dim(x)
-    if P.m == 0:
-        return True
-    return bool(np.all(P.A @ x - P.b > 0.0))
+    return bool(np.all(slack(P, x) > 0.0))
 
 
 def chord(P: Polytope, x: np.ndarray, d: np.ndarray) -> Chord:
@@ -110,13 +87,10 @@ def chord(P: Polytope, x: np.ndarray, d: np.ndarray) -> Chord:
 
     Constraint i bounds the +d direction when a_i^T d < 0.
     """
-    x = P._check_dim(x)
+    s = slack(P, x)
     d = P._check_dim(d)
     if np.all(d == 0.0):
         raise PolytopeError("zero direction")
-    if P.m == 0:
-        return Chord(-np.inf, np.inf)
-    s = P.A @ x - P.b
     if np.any(s <= 0.0):
         raise PolytopeError("chord requires an interior point")
     ad = P.A @ d

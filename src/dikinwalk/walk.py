@@ -66,12 +66,6 @@ class StepStats:
     lazy_skips: int = 0
     rejected_outside: int = 0
     rejected_mh: int = 0
-    mean_log_ratio: float = 0.0
-    _n_log_ratio: int = 0
-
-    def record_log_ratio(self, L: float) -> None:
-        self._n_log_ratio += 1
-        self.mean_log_ratio += (L - self.mean_log_ratio) / self._n_log_ratio
 
     @property
     def nonlazy_acceptance(self) -> float:
@@ -109,15 +103,21 @@ def propose(state: ChainState, config: WalkConfig) -> np.ndarray:
     return state.x + (config.r / math.sqrt(n)) * step_vec
 
 
-def _log_ratio(
+def log_accept_ratio(
+    x: np.ndarray,
+    z: np.ndarray,
     f_x: float,
     f_z: float,
     metric_at_x: MetricEval,
     metric_at_z: MetricEval,
     r: float,
-    x: np.ndarray,
-    z: np.ndarray,
 ) -> float:
+    """Log Metropolis ratio for interior x, z; acceptance is min{1, e^L}.
+
+    With f_x = f(x), f_z = f(z) finite and the metrics evaluated at x and z:
+    L = [f(x) - f(z)] + (1/2)[logdet G(z) - logdet G(x)]
+        - (n / 2r^2) [ |x-z|^2_{G(z)} - |z-x|^2_{G(x)} ].
+    """
     n = x.shape[0]
     d = x - z
     v = metric_at_z.Q @ d
@@ -130,28 +130,6 @@ def _log_ratio(
         + 0.5 * (metric_at_z.logdet - metric_at_x.logdet)
         - (n / (2.0 * r * r)) * (nx_sq - nz_sq)
     )
-
-
-def log_accept_ratio(
-    x: np.ndarray,
-    z: np.ndarray,
-    target: LogConcaveTarget,
-    metric_at_x: MetricEval,
-    metric_at_z: MetricEval,
-    r: float,
-) -> float:
-    """Log Metropolis ratio for interior x, z; acceptance is min{1, e^L}.
-
-    L = [f(x) - f(z)] + (1/2)[logdet G(z) - logdet G(x)]
-        - (n / 2r^2) [ |x-z|^2_{G(z)} - |z-x|^2_{G(x)} ].
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    f_x = float(target.f(x))
-    f_z = float(target.f(z))
-    if not math.isfinite(f_z):
-        raise NonFiniteDensityError(f"f({z}) is not finite")
-    return _log_ratio(f_x, f_z, metric_at_x, metric_at_z, r, x, z)
 
 
 def step(
@@ -181,8 +159,9 @@ def step(
     f_z = float(target.f(z))
     if not math.isfinite(f_z):
         raise NonFiniteDensityError(f"f({z}) is not finite")
-    L = _log_ratio(state.f_x, f_z, state.metric_cache, metric_z, config.r, state.x, z)
-    state.stats.record_log_ratio(L)
+    L = log_accept_ratio(
+        state.x, z, state.f_x, f_z, state.metric_cache, metric_z, config.r
+    )
     u = rng.uniform()
     # u is drawn from [0, 1): log(0) = -inf rejects only when L = -inf
     if (math.log(u) if u > 0.0 else -math.inf) < L:

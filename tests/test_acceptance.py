@@ -54,8 +54,9 @@ def test_criterion_1_detailed_balance():
                 z = _interior(P, x0, rng)
                 Mx = evaluate_metric(P, x, kind)
                 Mz = evaluate_metric(P, z, kind)
-                L_fwd = log_accept_ratio(x, z, tgt, Mx, Mz, r)
-                L_bwd = log_accept_ratio(z, x, tgt, Mz, Mx, r)
+                f_x, f_z = tgt.f(x), tgt.f(z)
+                L_fwd = log_accept_ratio(x, z, f_x, f_z, Mx, Mz, r)
+                L_bwd = log_accept_ratio(z, x, f_z, f_x, Mz, Mx, r)
 
                 def side(frm, to, Mfrm, Lr):
                     quad = float(np.linalg.norm(Mfrm.Q @ (to - frm)) ** 2)

@@ -137,7 +137,8 @@ def test_sample_nonfinite_density_exit_codes(files, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--thin", "0"], ["--step-size", "-1"], ["--steps", "-1"], ["--chains", "0"]],
+    [["--thin", "0"], ["--step-size", "-1"], ["--steps", "-1"], ["--chains", "0"],
+     ["--seed", "-1"]],
 )
 def test_sample_bad_walk_config_exits_2(files, flags):
     tmp, poly, gauss = files
@@ -166,9 +167,9 @@ def test_sample_bad_metric_flags_exit_2(files, flags):
 
 
 @pytest.mark.parametrize("metric", ["soft", "lewis"])
-def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys):
+def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys, recwarn):
     # in (0, 1) at x = 1e-300 the metric overflows: a numeric failure, not a
-    # traceback and not a chain stuck at its start
+    # traceback, not a chain stuck at its start, and no numpy warning
     poly = tmp_path / "unit.txt"
     poly.write_text("1 2\n1\n-1\n0 -1\n")
     gauss = tmp_path / "g.txt"
@@ -180,8 +181,64 @@ def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys):
         "--init-point", "1e-300", "--out", str(out),
     ])
     assert code == 4
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert err.count("\n") == 1
+    assert not recwarn.list
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--polytope", "{P}", "--gaussian", "{G}", "--n-samples", "5",
+         "--seed", "-1"],
+        ["diagnose", "--seed", "-1"],
+        ["diagnose", "--trials", "0"],
+        ["diagnose", "--trials", "-5"],
+        ["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "0.5",
+         "--outer-radius", "0"],
+        ["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "0.5",
+         "--outer-radius", "-1"],
+        ["sample", "--polytope", "{B}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-warmstart", "--outer-radius", "0"],
+        *(["budget", "--regime", "weak", "--m", "4", "--n", "2", "--beta-eta", "1",
+           "--warmness", "2", "--eps", "0.1", "--C", "1", *flags]
+          for flags in (["--kappa", "nan"], ["--C", "inf"], ["--beta-eta", "nan"],
+                        ["--psi-n-sq", "inf"], ["--metric", "lewis", "--c1", "0"],
+                        ["--metric", "lewis", "--c2", "-1"])),
+        ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "inf",
+         "--warmness", "2", "--eps", "0.1", "--C", "1"],
+    ],
+)
+def test_bad_flag_values_exit_2(files, argv):
+    tmp, poly, gauss = files
+    box = tmp / "box.txt"  # (-1, 1)^2, so the constrained mode 0 is interior
+    box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+    assert main([a.format(P=poly, B=box, G=gauss) for a in argv]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-point", "1", "1", "--out", "{out}"],
+        ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--x1", "1", "1",
+         "--r-tilde", "0.5", "--outer-radius", "10", "--out", "{out}"],
+        ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
+         "--warmness", "2", "--eps", "0.1", "--C", "1", "--out", "{out}"],
+        ["oracle", "--polytope", "{P}", "--gaussian", "{G}", "--n-samples", "5",
+         "--out", "{out}"],
+        ["diagnose", "--trials", "20", "--out", "{out}"],
+        ["precondition", "--polytope", "{P}", "--gaussian", "{G}",
+         "--out-polytope", "{out}", "--out-transform", "{out}"],
+    ],
+)
+def test_unwritable_out_exits_2(files, argv, capsys):
+    tmp, poly, gauss = files
+    out = str(tmp / "missing" / "x.csv")
+    assert main([a.format(P=poly, G=gauss, out=out) for a in argv]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_sample_multichain(files):

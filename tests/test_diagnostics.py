@@ -10,8 +10,8 @@ from dikinwalk.diagnostics import (
     certify_symmetry,
     compare_moments,
     cross_ratio,
+    diagnose_corpus,
     hilbert,
-    metric_pair_report,
     mixed_distance,
     random_polytope_with_interior,
     rejection_oracle,
@@ -125,15 +125,6 @@ def test_mixed_weak_below_strong_with_matched_parameter():
         assert weak <= strong + 1e-12  # log(1+t) <= t
 
 
-def test_metric_pair_report_consistency():
-    P = make_box([0.0, 0.0], [1.0, 1.0])
-    rep = metric_pair_report(
-        P, np.array([0.2, 0.4]), np.array([0.7, 0.5]), alpha=1.0, eta=1.0
-    )
-    assert rep.d_hilbert == pytest.approx(math.log1p(rep.d_cross))
-    assert min(rep.d_cross, rep.d_hilbert, rep.d_mixed_strong, rep.d_mixed_weak) >= 0
-
-
 def test_rejection_oracle_unconstrained():
     P = Polytope(A=np.zeros((0, 2)), b=np.zeros(0))
     G = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
@@ -243,3 +234,10 @@ def test_random_polytope_interior_point():
         P, x0 = random_polytope_with_interior(3, 7, rng)
         assert contains(P, x0)
         np.testing.assert_allclose(np.linalg.norm(P.A, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_diagnose_corpus_rejects_no_trials(trials):
+    # used to run the full corpus as if 20 trials had been asked for
+    with pytest.raises(DiagnosticsError, match="trials"):
+        diagnose_corpus(seed=0, trials=trials)

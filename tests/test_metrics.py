@@ -11,12 +11,8 @@ from dikinwalk.metrics import (
     RegularizedLewis,
     SoftThreshold,
     default_lewis_q,
-    dikin_ellipsoid_contains,
     evaluate_metric,
     lewis_weights,
-    local_norm,
-    regularized_lewis_metric,
-    soft_threshold_metric,
 )
 from dikinwalk.polytope import Polytope, make_orthant
 
@@ -24,28 +20,28 @@ from dikinwalk.polytope import Polytope, make_orthant
 def test_soft_half_line():
     # K = (0, inf), lambda 1, x = 0.5: G = 1/0.25 + 1 = 5
     P = Polytope(A=np.array([[1.0]]), b=np.array([0.0]))
-    M = soft_threshold_metric(P, np.array([0.5]), lam=1.0)
+    M = evaluate_metric(P, np.array([0.5]), SoftThreshold(lam=1.0))
     np.testing.assert_allclose(M.G, [[5.0]])
     assert M.logdet == pytest.approx(math.log(5.0))
 
 
 def test_soft_unconstrained():
     P = Polytope(A=np.zeros((0, 3)), b=np.zeros(0))
-    M = soft_threshold_metric(P, np.zeros(3), lam=2.0)
+    M = evaluate_metric(P, np.zeros(3), SoftThreshold(lam=2.0))
     np.testing.assert_allclose(M.G, 2.0 * np.eye(3))
     assert M.logdet == pytest.approx(3.0 * math.log(2.0))
 
 
 def test_soft_orthant_diag():
     P = make_orthant(2)
-    M = soft_threshold_metric(P, np.array([1.0, 1.0]), lam=1.0)
+    M = evaluate_metric(P, np.array([1.0, 1.0]), SoftThreshold(lam=1.0))
     np.testing.assert_allclose(M.G, np.diag([2.0, 2.0]))
 
 
 def test_soft_cholesky_convention():
     rng = np.random.default_rng(0)
     P = Polytope(A=rng.standard_normal((5, 3)), b=-rng.uniform(0.5, 1.0, 5))
-    M = soft_threshold_metric(P, np.zeros(3), lam=0.7)
+    M = evaluate_metric(P, np.zeros(3), SoftThreshold(lam=0.7))
     assert np.allclose(np.tril(M.Q, -1), 0.0)  # upper triangular
     np.testing.assert_allclose(M.Q.T @ M.Q, M.G, atol=1e-12)
     sign, logdet = np.linalg.slogdet(M.G)
@@ -55,9 +51,9 @@ def test_soft_cholesky_convention():
 def test_soft_rejects_boundary():
     P = make_orthant(2)
     with pytest.raises(MetricError):
-        soft_threshold_metric(P, np.array([0.0, 1.0]), lam=1.0)
+        evaluate_metric(P, np.array([0.0, 1.0]), SoftThreshold(lam=1.0))
     with pytest.raises(MetricError):
-        soft_threshold_metric(P, np.array([1.0, 1.0]), lam=0.0)
+        SoftThreshold(lam=0.0)
 
 
 def test_default_lewis_q():
@@ -173,7 +169,7 @@ def test_lewis_metric_duplicate_orthant():
     P = Polytope(A=np.vstack([np.eye(2), np.eye(2)]), b=np.zeros(4))
     x = np.array([1.0, 1.0])
     params = RegularizedLewis(lam=1.0, c1=1.0, c2=0.0)
-    M = regularized_lewis_metric(P, x, params)
+    M = evaluate_metric(P, x, params)
     expected = (math.sqrt(2.0) + 1.0) * np.eye(2)
     np.testing.assert_allclose(M.G, expected, atol=1e-8)
 
@@ -182,8 +178,8 @@ def test_lewis_metric_linear_in_c1():
     P = Polytope(A=np.vstack([np.eye(2), np.eye(2)]), b=np.zeros(4))
     x = np.array([0.7, 1.3])
     lam = 1.0
-    G1 = regularized_lewis_metric(P, x, RegularizedLewis(lam=lam, c1=1.0)).G
-    G2 = regularized_lewis_metric(P, x, RegularizedLewis(lam=lam, c1=2.0)).G
+    G1 = evaluate_metric(P, x, RegularizedLewis(lam=lam, c1=1.0)).G
+    G2 = evaluate_metric(P, x, RegularizedLewis(lam=lam, c1=2.0)).G
     np.testing.assert_allclose(G2 - lam * np.eye(2), 2.0 * (G1 - lam * np.eye(2)),
                                atol=1e-8)
 
@@ -192,14 +188,14 @@ def test_lewis_metric_lambda_dominates():
     P = Polytope(A=np.vstack([np.eye(2), np.eye(2)]), b=np.zeros(4))
     x = np.array([1.0, 1.0])
     lam = 1e8
-    M = regularized_lewis_metric(P, x, RegularizedLewis(lam=lam))
+    M = evaluate_metric(P, x, RegularizedLewis(lam=lam))
     assert np.linalg.norm(M.G / lam - np.eye(2), 2) < 1e-6
 
 
 def test_lewis_metric_rejects_wide():
     P = Polytope(A=np.array([[1.0, 1.0]]), b=np.array([0.0]))
     with pytest.raises(MetricError):
-        regularized_lewis_metric(P, np.array([1.0, 1.0]), RegularizedLewis(lam=1.0))
+        evaluate_metric(P, np.array([1.0, 1.0]), RegularizedLewis(lam=1.0))
 
 
 def test_evaluate_metric_dispatch():
@@ -211,24 +207,6 @@ def test_evaluate_metric_dispatch():
     assert Ml.G.shape == (2, 2)
     with pytest.raises(MetricError):
         evaluate_metric(P, x, "not a metric")
-
-
-def test_local_norm():
-    P = Polytope(A=np.zeros((0, 2)), b=np.zeros(0))
-    M = soft_threshold_metric(P, np.zeros(2), lam=1.0)  # G = I
-    assert local_norm(M, np.array([3.0, 4.0])) == pytest.approx(5.0)
-    assert local_norm(M, np.zeros(2)) == pytest.approx(0.0)
-    P1 = Polytope(A=np.zeros((0, 1)), b=np.zeros(0))
-    M4 = soft_threshold_metric(P1, np.zeros(1), lam=4.0)  # G = 4
-    assert local_norm(M4, np.array([1.0])) == pytest.approx(2.0)
-
-
-def test_dikin_ellipsoid_contains():
-    P = Polytope(A=np.zeros((0, 2)), b=np.zeros(0))
-    M = soft_threshold_metric(P, np.array([1.0, 1.0]), lam=1.0)
-    assert dikin_ellipsoid_contains(M, np.array([1.0, 1.0]))  # center
-    assert not dikin_ellipsoid_contains(M, np.array([3.0, 1.0]))
-    assert dikin_ellipsoid_contains(M, np.array([2.0, 1.0]))  # boundary included
 
 
 def test_soft_matches_quadratic_form_definition():
@@ -244,7 +222,7 @@ def test_soft_matches_quadratic_form_definition():
             continue
         P = Polytope(A=A, b=-rng.uniform(0.3, 1.0, A.shape[0]))
         lam = float(rng.uniform(0.1, 5.0))
-        M = soft_threshold_metric(P, np.zeros(n), lam=lam)
+        M = evaluate_metric(P, np.zeros(n), SoftThreshold(lam=lam))
         h = rng.standard_normal(n)
         s = -P.b
         direct = sum(
@@ -257,7 +235,7 @@ def test_jittered_factor_reproduces_reported_G():
     # one row in n = 2 leaves H rank one; lam = 1e-300 is lost in rounding,
     # so the first Cholesky fails and the jitter retry runs
     P = Polytope(A=np.array([[1.0, 1.0]]) / math.sqrt(2.0), b=np.array([0.0]))
-    M = soft_threshold_metric(P, np.array([1.0, 1.0]), lam=1e-300)
+    M = evaluate_metric(P, np.array([1.0, 1.0]), SoftThreshold(lam=1e-300))
     gap = np.abs(M.Q.T @ M.Q - M.G).max() / np.abs(M.G).max()
     assert gap <= 1e-14
     assert M.logdet == pytest.approx(np.linalg.slogdet(M.G)[1], rel=1e-12)

@@ -16,7 +16,7 @@ from dikinwalk.planner import (
     violated_constraint_count,
     warm_start_ball,
 )
-from dikinwalk.polytope import contains, make_box, make_orthant
+from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, quadratic_target
 
 
@@ -98,6 +98,16 @@ def test_warm_ball_rejects_bad_x1():
     modes = solve_modes(target, P)
     with pytest.raises(PlannerError):
         warm_start_ball(target, P, np.array([0.05, 1.0]), 0.5, modes, outer_radius=5.0)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+def test_warm_ball_rejects_bad_outer_radius(R):
+    # log(3 R / r_tilde) used to fail with a math domain error for R <= 0
+    P = make_box([-1.0, -1.0], [1.0, 1.0])
+    target = _std_normal_target(2)
+    modes = solve_modes(target, P)
+    with pytest.raises(PlannerError, match="outer_radius"):
+        warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius=R)
 
 
 def test_warm_ball_random_instances():
@@ -240,6 +250,13 @@ def test_budget_query_validation():
     with pytest.raises(PlannerError):
         MixingBudgetQuery(regime="strong", m=4, n=2, metric=soft, M=0.5,
                           eps=0.1, C=1.0, kappa=1.0)
+    # non-finite values used to reach math.ceil and fail there
+    good = dict(regime="weak", m=4, n=2, metric=soft, M=2.0, eps=0.1, C=1.0,
+                kappa=1.0, beta_eta=1.0, psi_n_sq=1.0)
+    for field in ("M", "C", "kappa", "beta_eta", "psi_n_sq"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(PlannerError, match="finite"):
+                MixingBudgetQuery(**{**good, field: bad})
 
 
 def test_radius_hat_values():
@@ -258,6 +275,8 @@ def test_violated_constraint_count():
     assert violated_constraint_count(P, c, 0.5) == 0
     assert violated_constraint_count(P, c, 1.5) == 2
     assert violated_constraint_count(P, c, 0.0) == 0
+    free = Polytope(A=np.zeros((0, 2)), b=np.zeros(0))
+    assert violated_constraint_count(free, c, 1e9) == 0
 
 
 def test_violated_constraint_count_monotone_in_rho():
