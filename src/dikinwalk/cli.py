@@ -2,19 +2,21 @@
 
 Every output file starts with a '#' manifest block recording the resolved
 parameters; stripping comment lines leaves machine-parseable data only.
-Files are written to a temp path and renamed on success, so errors never
-leave partial outputs. Exit codes: 0 ok, 1 `diagnose` found violations,
-2 file/parse error or invalid flag value, 3 infeasible initial point,
-4 numeric failure.
+Files are written to temp paths and renamed once every file of the command
+is written, so errors never leave partial outputs. Exit codes: 0 ok,
+1 `diagnose` found violations, 2 file/parse error or invalid flag value,
+3 infeasible initial point, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from dikinwalk.planner import (
     sample_warm_start,
     solve_modes,
     warm_start_ball,
+    warm_start_center,
 )
 from dikinwalk.polytope import (
     PolytopeError,
@@ -143,23 +146,39 @@ def _manifest(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(path: str | None, content: str) -> None:
-    if path is None:
-        sys.stdout.write(content)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
+def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
+    """Write each (path, content); content for a None path goes to stdout.
+
+    Every file is written to a temp path in its directory first, and all are
+    renamed only after every write has succeeded, so a failing write leaves
+    no file behind. Stdout is written last.
+    """
+    staged: list[tuple[str, str]] = []
+    to_stdout: list[str] = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dikinwalk-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
-            os.replace(tmp, path)
-        except BaseException:
+            for path, content in outputs:
+                if path is None:
+                    to_stdout.append(content)
+                    continue
+                if os.path.isdir(path):
+                    # os.replace would fail on it only after earlier renames
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                directory = os.path.dirname(os.path.abspath(path))
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dikinwalk-")
+                staged.append((tmp, path))
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            for tmp, path in staged:
+                os.replace(tmp, path)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_PARSE) from exc
+    except BaseException:
+        for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_PARSE) from exc
+        raise
+    sys.stdout.write("".join(to_stdout))
 
 
 def _check_seed(args: argparse.Namespace) -> None:
@@ -202,6 +221,21 @@ def _build_target(args: argparse.Namespace, P):
     return gauss, quadratic_target(gauss)
 
 
+def _warm_start(args: argparse.Namespace, target, P, x1):
+    """The warm-start ball around x1; a None x1 is the constrained mode, moved
+    inside when it lies within --r-tilde of the boundary."""
+    try:
+        modes = solve_modes(target, P)
+        if x1 is None:
+            try:
+                x1 = warm_start_center(P, modes.x_dag, args.r_tilde)
+            except PlannerError as exc:
+                raise CliError(f"{exc}; lower --r-tilde", EXIT_NUMERIC) from exc
+        return warm_start_ball(target, P, x1, args.r_tilde, modes, args.outer_radius)
+    except (PlannerError, PolytopeError, TargetError) as exc:
+        raise CliError(str(exc), EXIT_NUMERIC) from exc
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     gauss, target = _build_target(args, P)
@@ -231,13 +265,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         init = x0
     elif args.init_warmstart:
         _check_ball_flags(args)
-        try:
-            modes = solve_modes(target, P)
-            ball = warm_start_ball(
-                target, P, modes.x_dag, args.r_tilde, modes, args.outer_radius
-            )
-        except (PlannerError, PolytopeError) as exc:
-            raise CliError(str(exc), EXIT_NUMERIC) from exc
+        ball = _warm_start(args, target, P, x1=None)
         init = lambda rng: sample_warm_start(ball, rng)  # noqa: E731
     else:
         raise CliError("specify --init-point or --init-warmstart", EXIT_PARSE)
@@ -256,12 +284,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     except MetricError as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from exc
     manifest = _manifest(args)
-    for i, batch in enumerate(batches):
-        path = args.out
-        if path is not None and args.chains > 1:
-            root, ext = os.path.splitext(path)
-            path = f"{root}_{i}{ext}"
-        _write_output(path, manifest + format_csv(batch, header=args.header))
+    paths = [args.out] * args.chains
+    if args.out is not None and args.chains > 1:
+        root, ext = os.path.splitext(args.out)
+        paths = [f"{root}_{i}{ext}" for i in range(args.chains)]
+    # a generator, so only one chain's CSV text is held at a time
+    _write_outputs(
+        (path, manifest + format_csv(batch, header=args.header))
+        for path, batch in zip(paths, batches)
+    )
     return EXIT_OK
 
 
@@ -273,8 +304,12 @@ def cmd_precondition(args: argparse.Namespace) -> int:
     except (TargetError, PolytopeError) as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from exc
     manifest = _manifest(args)
-    _write_output(args.out_polytope, manifest + serialize_polytope(P_new))
-    _write_output(args.out_transform, manifest + serialize_transform(transform))
+    _write_outputs(
+        [
+            (args.out_polytope, manifest + serialize_polytope(P_new)),
+            (args.out_transform, manifest + serialize_transform(transform)),
+        ]
+    )
     return EXIT_OK
 
 
@@ -290,12 +325,8 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
     _check_ball_flags(args)
     P = _load_polytope(args.polytope)
     _, target = _build_target(args, P)
-    try:
-        modes = solve_modes(target, P)
-        x1 = np.array(args.x1, dtype=float) if args.x1 else modes.x_dag
-        ball = warm_start_ball(target, P, x1, args.r_tilde, modes, args.outer_radius)
-    except (PlannerError, PolytopeError, TargetError) as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from exc
+    x1 = np.array(args.x1, dtype=float) if args.x1 else None
+    ball = _warm_start(args, target, P, x1)
     content = _manifest(args) + _kv_block(
         [
             ("x0", _fmt_vec(ball.x0)),
@@ -305,7 +336,7 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
             ("outer_radius_estimated", str(ball.outer_radius_estimated).lower()),
         ]
     )
-    _write_output(args.out, content)
+    _write_outputs([(args.out, content)])
     return EXIT_OK
 
 
@@ -352,7 +383,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
             ("count", res.violated_count),
             ("T_plain", res.plain_T),
         ]
-    _write_output(args.out, _manifest(args) + _kv_block(pairs))
+    _write_outputs([(args.out, _manifest(args) + _kv_block(pairs))])
     return EXIT_OK
 
 
@@ -369,7 +400,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError(str(exc), EXIT_NUMERIC) from exc
     lines = format_rows(result.samples)
     lines.append(f"# acceptance={result.acceptance:.17g}")
-    _write_output(args.out, _manifest(args) + "\n".join(lines) + "\n")
+    _write_outputs([(args.out, _manifest(args) + "\n".join(lines) + "\n")])
     return EXIT_OK
 
 
@@ -386,7 +417,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             f"{rep.name} trials={rep.trials} violations={rep.violations} "
             f"max_slack={rep.max_slack:.6f}"
         )
-    _write_output(args.out, _manifest(args) + "\n".join(lines) + "\n")
+    _write_outputs([(args.out, _manifest(args) + "\n".join(lines) + "\n")])
     return EXIT_OK if total_violations == 0 else 1
 
 

@@ -120,11 +120,28 @@ def _diagonal(G: np.ndarray) -> np.ndarray:
 def lewis_weights(
     Ax: np.ndarray, q: int, tol: float = 1e-8, max_iter: int = 1000
 ) -> LewisWeights:
-    """Solve the weight fixed point w_i = tau_i(w) by damped multiplicative steps.
+    """Solve the weight fixed point w_i = tau_i(w) by a Chebyshev semi-iteration.
 
     tau_i(w) = w_i^{c_q} a_i^T (Ax^T W^{c_q} Ax)^{-1} a_i is the leverage score
-    of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. Initialized at w = n/m,
-    updated by w <- sqrt(w * tau).
+    of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
+    u = log w for the map u -> log tau(u), from w = n/m, and stops at the
+    first iterate with max_i |w_i - tau_i| / w_i <= tol.
+
+    At the fixed point the Jacobian of u -> log tau(u) is c_q (I - M), with
+    M = diag(tau)^{-1} (P o P) and P the projection onto the columns of
+    W^{c_q / 2} Ax. P o P is symmetric PSD (Schur product theorem) with row
+    sums diag(P) = tau, so M is row-stochastic and similar to the PSD
+    diag(tau)^{-1/2} (P o P) diag(tau)^{-1/2}: its spectrum lies in [0, 1] and
+    the Jacobian's in [0, c_q]. The relaxed step u + gamma (log tau(u) - u)
+    with gamma = 2 / (2 - c_q) maps that interval onto [-sigma, sigma],
+    sigma = c_q / (2 - c_q), the case of Golub & Varga's Chebyshev
+    semi-iteration: u_1 = u_0 + gamma (log tau(u_0) - u_0), then
+    u_{k+1} = u_{k-1} + omega_{k+1} (u_k + gamma (log tau(u_k) - u_k) - u_{k-1})
+    with omega_2 = 1 / (1 - sigma^2 / 2), omega_{k+1} = 1 / (1 - sigma^2 omega_k / 4).
+    Its rate sigma / (1 + sqrt(1 - sigma^2)) beats the 1 - 1/q of the damped
+    step w <- sqrt(w tau) (gamma = 1/2), e.g. 0.52 against 0.95 at q = 20.
+    Every constant follows from q; the weights are a deterministic function
+    of Ax.
     """
     Ax = np.asarray(Ax, dtype=float)
     m, n = Ax.shape
@@ -133,13 +150,18 @@ def lewis_weights(
     if q < 4 or q % 2 != 0:
         raise MetricError("q must be an even integer >= 4")
     cq = 1.0 - 2.0 / q
+    gamma = 2.0 / (2.0 - cq)
+    sigma2 = (cq / (2.0 - cq)) ** 2
     AxT = Ax.T  # F-contiguous view: dpotrs takes it without a transposing copy
-    # the weights stay in (0, 1], so this Gram bounds every weighted Gram below
+    # checked once: each weighted Gram below differs from this one by the
+    # row factors w**cq, and one that still overflows fails as a MetricError
     with np.errstate(over="ignore", invalid="ignore"):
         gram_finite = np.isfinite(AxT @ Ax).all()
     if not gram_finite:
         raise MetricError("non-finite row-scaled Gram matrix")
     w = np.full(m, n / m)
+    u = u_prev = np.log(w)
+    omega = 1.0
     residual = np.inf
     for it in range(1, max_iter + 1):
         wc = w**cq
@@ -158,7 +180,10 @@ def lewis_weights(
             return LewisWeights(w=w, residual=residual, iterations=it)
         if not math.isfinite(residual):
             raise MetricError("non-finite Lewis weights")
-        w = np.sqrt(w * tau)
+        step = u + gamma * (np.log(tau) - u)
+        u, u_prev = u_prev + omega * (step - u_prev), u
+        omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
+        w = np.exp(u)
     raise LewisConvergenceError(residual, max_iter)
 
 

@@ -177,6 +177,22 @@ def _estimate_outer_radius(P: Polytope, x1: np.ndarray) -> float:
     return reach
 
 
+def warm_start_center(P: Polytope, x_dag: np.ndarray, r_tilde: float) -> np.ndarray:
+    """A center x1 for warm_start_ball: x_dag when B(x_dag, r_tilde) lies in K.
+
+    Otherwise (x_dag on or near the boundary) the point of K shrunk by
+    r_tilde, every constraint a_i^T x > b_i moved to b_i + r_tilde |a_i|,
+    nearest to x_dag.
+    """
+    if P.m == 0 or np.min(_margins(P, x_dag)) >= r_tilde - 1e-9:
+        return x_dag
+    norms = np.linalg.norm(P.A, axis=1)
+    x1 = _project_polytope(Polytope(A=P.A, b=P.b + r_tilde * norms), x_dag)
+    if np.min(_margins(P, x1)) < r_tilde - 1e-9:
+        raise PlannerError(f"found no ball of radius r_tilde = {r_tilde:g} in K")
+    return x1
+
+
 def warm_start_ball(
     target: LogConcaveTarget,
     P: Polytope,

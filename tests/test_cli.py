@@ -241,6 +241,53 @@ def test_unwritable_out_exits_2(files, argv, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+SAMPLE_2_CHAINS = [
+    "sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+    "--steps", "5", "--chains", "2", "--init-point", "1", "1",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, directory, kept",
+    [
+        (["precondition", "--polytope", "{P}", "--gaussian", "{G}",
+          "--out-polytope", "ok.txt", "--out-transform", "missing/t.txt"],
+         None, "ok.txt"),
+        ([*SAMPLE_2_CHAINS, "--out", "missing/s.csv"], None, "missing/s_0.csv"),
+        # renaming onto a directory fails; no other file may be renamed first
+        ([*SAMPLE_2_CHAINS, "--out", "s.csv"], "s_1.csv", "s_0.csv"),
+    ],
+    ids=["precondition", "sample", "sample-onto-directory"],
+)
+def test_multi_file_output_all_or_nothing(files, monkeypatch, argv, directory, kept):
+    tmp, poly, gauss = files
+    monkeypatch.chdir(tmp)
+    if directory is not None:
+        (tmp / directory).mkdir()
+    assert main([a.format(P=poly, G=gauss) for a in argv]) == 2
+    assert not (tmp / kept).exists()
+    assert not list(tmp.glob(".dikinwalk-*"))
+
+
+def test_sample_chain_files_all_or_nothing(files, monkeypatch):
+    # a write failing on the second chain's file leaves the first unwritten
+    tmp, poly, gauss = files
+    calls = []
+    format_csv = cli.format_csv
+
+    def format_csv_then_disk_full(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return format_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "format_csv", format_csv_then_disk_full)
+    monkeypatch.chdir(tmp)
+    argv = [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
+    assert main([*argv, "--out", "s.csv"]) == 2
+    assert not list(tmp.glob("s_*.csv")) and not list(tmp.glob(".dikinwalk-*"))
+
+
 def test_sample_multichain(files):
     tmp, poly, gauss = files
     out = tmp / "c.csv"
@@ -292,6 +339,45 @@ def test_warmstart_block(files, capsys):
     )
     assert {"x0", "r0", "r1", "logM"} <= set(kv)
     assert float(kv["r0"]) > 0
+
+
+def test_warm_start_from_boundary_mode(files, capsys):
+    # the standard normal's constrained mode is the orthant's corner, where
+    # B(x_dag, r_tilde) leaves the polytope; the ball is built around (0.1, 0.1)
+    tmp, poly, gauss = files
+    ball_flags = ["--r-tilde", "0.1", "--outer-radius", "10"]
+    code = main(["warmstart", "--polytope", poly, "--gaussian", gauss, *ball_flags])
+    assert code == 0
+    kv = dict(
+        ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
+        if "=" in ln and not ln.startswith("#")
+    )
+    x0 = np.array(kv["x0"].split(), dtype=float)
+    assert float(kv["r0"]) > 0 and np.min(x0) >= float(kv["r0"]) - 1e-9
+    out = tmp / "w.csv"
+    code = main([
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+        "--steps", "20", "--init-warmstart", *ball_flags, "--out", str(out),
+    ])
+    assert code == 0
+    rows = [ln for ln in _data_lines(out) if "," in ln]
+    assert len(rows) == 20
+    assert all(float(v) > 0 for ln in rows for v in ln.split(","))
+
+
+@pytest.mark.parametrize("command", ["warmstart", "sample"])
+def test_warm_start_without_room_names_r_tilde(tmp_path, command, capsys):
+    # no point of [0, 0.1]^2 is 0.1 away from every side
+    poly = tmp_path / "box.txt"
+    poly.write_text("2 4\n1 0\n0 1\n-1 0\n0 -1\n0 0 -0.1 -0.1\n")
+    gauss = tmp_path / "std2.txt"
+    gauss.write_text(STD2)
+    argv = [command, "--polytope", str(poly), "--gaussian", str(gauss)]
+    argv += ["--r-tilde", "0.1", "--outer-radius", "1"]
+    if command == "sample":
+        argv += ["--lambda", "1", "--steps", "5", "--init-warmstart"]
+    assert main(argv) == 4
+    assert "--r-tilde" in capsys.readouterr().err
 
 
 def test_budget_worked_example(files, capsys):

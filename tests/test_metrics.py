@@ -91,7 +91,8 @@ def test_lewis_random_instances():
 
 
 def _lewis_weights_cho(Ax, q, tol=1e-8, max_iter=1000):
-    """The fixed point on scipy's cho_factor / cho_solve wrappers, as a reference."""
+    """The damped fixed point w <- sqrt(w * tau) on scipy's cho_factor /
+    cho_solve wrappers, as a reference; None where it does not converge."""
     m, n = Ax.shape
     cq = 1.0 - 2.0 / q
     w = np.full(m, n / m)
@@ -108,10 +109,11 @@ def _lewis_weights_cho(Ax, q, tol=1e-8, max_iter=1000):
     return None
 
 
-def test_lewis_weights_bit_equal_to_wrapped_reference():
-    # direct LAPACK must reproduce the wrapped calls to the last bit: the
-    # weights feed G, and so the same-seed output of a Lewis walk
+def test_lewis_weights_agree_with_damped_reference():
+    # the Chebyshev iteration reaches the reference's weights, not its bits,
+    # in at most a fifth of its iterations
     rng = np.random.default_rng(2024)
+    iterations = ref_iterations = 0
     for k in range(200):
         n = int(rng.integers(1, 9))
         m = n if k % 4 == 0 else int(rng.integers(n, 41))
@@ -123,9 +125,24 @@ def test_lewis_weights_bit_equal_to_wrapped_reference():
                 lewis_weights(Ax, q)
             continue
         lw = lewis_weights(Ax, q)
-        assert np.array_equal(lw.w, ref[0])
-        assert lw.residual == ref[1]
-        assert lw.iterations == ref[2]
+        assert np.max(np.abs(lw.w - ref[0]) / ref[0]) <= 1e-6
+        assert lw.residual <= 1e-8
+        assert lewis_fixed_point_residual(Ax, lw.w, q) <= 1e-7
+        iterations += lw.iterations
+        ref_iterations += ref[2]
+    assert 5 * iterations <= ref_iterations
+
+
+def test_lewis_weights_solve_what_the_reference_solves_on_scaled_rows():
+    # row norms spread over three decades, as near a facet of a polytope
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(n, 61))
+        q = int(rng.choice([4, 6, 8, 12, 20]))
+        Ax = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 0, size=m)[:, None]
+        if _lewis_weights_cho(Ax, q) is not None:
+            assert lewis_weights(Ax, q).residual <= 1e-8
 
 
 def test_lewis_rank_deficient_raises():

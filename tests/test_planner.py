@@ -15,6 +15,7 @@ from dikinwalk.planner import (
     solve_modes,
     violated_constraint_count,
     warm_start_ball,
+    warm_start_center,
 )
 from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, quadratic_target
@@ -147,6 +148,24 @@ def test_warm_ball_degenerate_x1_at_mode():
     ball = warm_start_ball(target, P, modes.x_dag, 0.25, modes, outer_radius=1.0)
     np.testing.assert_allclose(ball.x0, modes.x_dag, atol=1e-7)
     assert ball.r0 <= 0.5 + 1e-9  # capped by the box margin at the center
+
+
+def test_warm_start_center_moves_a_boundary_mode_inside():
+    # the standard normal's mode on the orthant is the corner at 0
+    P = make_orthant(2)
+    target = _std_normal_target(2)
+    modes = solve_modes(target, P)
+    x1 = warm_start_center(P, modes.x_dag, 0.1)
+    np.testing.assert_allclose(x1, [0.1, 0.1], atol=1e-9)
+    ball = warm_start_ball(target, P, x1, 0.1, modes, outer_radius=10.0)
+    assert np.min(ball.x0) >= ball.r0 - 1e-9 and ball.r0 > 0
+    # a mode with room around it is returned as it is
+    box = make_box([-1.0, -1.0], [1.0, 1.0])
+    x_dag = solve_modes(target, box).x_dag
+    assert warm_start_center(box, x_dag, 0.1) is x_dag
+    # no point of [0, 0.1]^2 is 0.1 away from every side
+    with pytest.raises(PlannerError, match="r_tilde"):
+        warm_start_center(make_box([0.0, 0.0], [0.1, 0.1]), modes.x_dag, 0.1)
 
 
 def test_sample_warm_start_zero_radius_limit():
