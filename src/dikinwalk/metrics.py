@@ -94,22 +94,22 @@ def _cholesky_upper(G: np.ndarray) -> tuple[np.ndarray, float]:
     The jitter goes onto G's diagonal in place, so G stays the matrix that
     was factored.
     """
-    # numpy's Cholesky, not scipy's dpotrf: they link different OpenBLAS
-    # builds whose low bits differ, which would change same-seed output
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
+    # scipy's LAPACK called directly: a quarter of np.linalg.cholesky's cost
+    # at n = 10 (no validation or gufunc wrapping) and no slower at n = 100.
+    # dpotrf copies G, so G is kept; clean=1 zeroes the strict lower
+    # triangle, because log_accept_ratio multiplies by the full Q
+    Q, info = dpotrf(G, lower=0, clean=1)
+    if info > 0:
         jitter = 1e-12 * np.trace(G) / G.shape[0]
         _diagonal(G)[:] += jitter
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise MetricError("Cholesky failed even after jitter") from None
-    logdet = 2.0 * float(np.log(L.diagonal()).sum())
+        Q, info = dpotrf(G, lower=0, clean=1)
+        if info > 0:
+            raise MetricError("Cholesky failed even after jitter")
+    logdet = 2.0 * float(np.log(Q.diagonal()).sum())
     if not math.isfinite(logdet):
         # an overflowed G (slacks near 0) factors without error into infinities
         raise MetricError("non-finite metric: log det G is not finite")
-    return L.T, logdet
+    return Q, logdet
 
 
 def _diagonal(G: np.ndarray) -> np.ndarray:
@@ -163,27 +163,31 @@ def lewis_weights(
     u = u_prev = np.log(w)
     omega = 1.0
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        wc = w**cq
-        Mw = AxT @ (wc[:, None] * Ax)
-        # scipy's LAPACK called directly, as cho_factor / cho_solve call it:
-        # numpy's linalg links a different build whose low bits differ, and
-        # these weights feed G, so same-seed output depends on every bit
-        c, info = dpotrf(Mw, lower=1, clean=0)
-        if info > 0:
-            raise MetricError("rank-deficient weighted Gram matrix")
-        B = dpotrs(c, AxT, lower=1)[0]  # n x m
-        quad = np.einsum("ij,ji->i", Ax, B)
-        tau = wc * quad
-        residual = float(np.max(np.abs(w - tau) / w))
-        if residual <= tol:
-            return LewisWeights(w=w, residual=residual, iterations=it)
-        if not math.isfinite(residual):
-            raise MetricError("non-finite Lewis weights")
-        step = u + gamma * (np.log(tau) - u)
-        u, u_prev = u_prev + omega * (step - u_prev), u
-        omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
-        w = np.exp(u)
+    # a leverage score that underflows to 0 or turns NaN (log 0, 0 / 0) ends
+    # in the non-finite MetricError below; numpy need not warn first.
+    # Entered once per call, not per iteration: it costs ~2.6 us
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            wc = w**cq
+            Mw = AxT @ (wc[:, None] * Ax)
+            # scipy's LAPACK called directly, as cho_factor / cho_solve call it:
+            # numpy's linalg links a different build whose low bits differ, and
+            # these weights feed G, so same-seed output depends on every bit
+            c, info = dpotrf(Mw, lower=1, clean=0)
+            if info > 0:
+                raise MetricError("rank-deficient weighted Gram matrix")
+            B = dpotrs(c, AxT, lower=1)[0]  # n x m
+            quad = np.einsum("ij,ji->i", Ax, B)
+            tau = wc * quad
+            residual = float(np.max(np.abs(w - tau) / w))
+            if residual <= tol:
+                return LewisWeights(w=w, residual=residual, iterations=it)
+            if not math.isfinite(residual):
+                raise MetricError("non-finite Lewis weights")
+            step = u + gamma * (np.log(tau) - u)
+            u, u_prev = u_prev + omega * (step - u_prev), u
+            omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
+            w = np.exp(u)
     raise LewisConvergenceError(residual, max_iter)
 
 

@@ -98,10 +98,12 @@ def chord(P: Polytope, x: np.ndarray, d: np.ndarray) -> Chord:
     t_minus = -np.inf
     neg = ad < 0.0
     pos = ad > 0.0
-    if np.any(neg):
-        t_plus = float(np.min(s[neg] / (-ad[neg])))
-    if np.any(pos):
-        t_minus = float(np.max(-s[pos] / ad[pos]))
+    # a tiny |a_i^T d| overflows s_i / |a_i^T d| to inf, the right bound
+    with np.errstate(over="ignore"):
+        if np.any(neg):
+            t_plus = float(np.min(s[neg] / (-ad[neg])))
+        if np.any(pos):
+            t_minus = float(np.max(-s[pos] / ad[pos]))
     return Chord(t_minus, t_plus)
 
 

@@ -3,9 +3,10 @@
 Randomness discipline: one numpy PCG64 stream per chain (np.random.default_rng
 seeded with the configured 64-bit seed). Per step the draws are, in order:
 the lazification uniform (when lazy), the n proposal normals, and the MH
-uniform. The MH uniform is consumed only when the proposal is interior, so a
-rejection at the indicator never advances that draw; accept and MH-reject
-consume identically.
+uniform; both uniforms are Generator.random() draws on [0, 1). The MH
+uniform is consumed only when the proposal is interior, so a rejection at
+the indicator never advances that draw; accept and MH-reject consume
+identically.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def step(
     from those slacks, one f(z) and one log ratio.
     """
     rng = state.rng
-    if config.lazy and rng.uniform() >= 0.5:
+    if config.lazy and rng.random() >= 0.5:
         state.stats.lazy_skips += 1
         return state
     z = propose(state, config)
@@ -162,7 +163,7 @@ def step(
     L = log_accept_ratio(
         state.x, z, state.f_x, f_z, state.metric_cache, metric_z, config.r
     )
-    u = rng.uniform()
+    u = rng.random()
     # u is drawn from [0, 1): log(0) = -inf rejects only when L = -inf
     if (math.log(u) if u > 0.0 else -math.inf) < L:
         state.x = z
@@ -244,9 +245,28 @@ def write_csv(batch: SampleBatch, path: str, header: bool = False) -> None:
 
 
 def format_rows(samples: np.ndarray) -> list[str]:
-    """One CSV line per row of a 2-D array, 17 significant digits per value."""
+    """One CSV line per row of a 2-D array, 17 significant digits per value.
+
+    A chain repeats its state on every lazy skip and rejection, so each run
+    of bit-identical rows is formatted once and its line repeated. Rows are
+    compared by bit pattern, not by value: 0.0 == -0.0, but they print
+    differently.
+    """
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    k = samples.shape[0]
+    if k == 0:
+        return []
     template = ",".join(["%.17g"] * samples.shape[1])
-    return [template % tuple(row) for row in samples.tolist()]
+    bits = samples.view(np.uint64)
+    new = np.empty(k, dtype=bool)
+    new[0] = True
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=k).tolist()
+    lines: list[str] = []
+    for row, count in zip(samples[starts].tolist(), counts):
+        lines += [template % tuple(row)] * count
+    return lines
 
 
 def format_csv(batch: SampleBatch, header: bool = False) -> str:

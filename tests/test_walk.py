@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dikinwalk.metrics import SoftThreshold, evaluate_metric
 from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
@@ -15,6 +17,7 @@ from dikinwalk.walk import (
     WalkError,
     adapt_step_size,
     format_csv,
+    format_rows,
     log_accept_ratio,
     propose,
     run,
@@ -148,7 +151,7 @@ def test_log_ratio_antisymmetry():
 
 def test_step_lazy_skip():
     class LazyRng:
-        def uniform(self):
+        def random(self):
             return 0.9
 
     st = _state(FREE_2D, [0.0, 0.0], SoftThreshold(lam=1.0))
@@ -168,7 +171,7 @@ class _ScriptedRng:
         self.uniforms = list(uniforms)
         self.normal = normal
 
-    def uniform(self):
+    def random(self):
         return self.uniforms.pop(0)
 
     def standard_normal(self, n):
@@ -337,6 +340,46 @@ def test_format_csv():
         "# lazy_skips=0 rejected_outside=0 rejected_mh=0\n"
         "# step_size=0.5 seed=4\n"
     )
+
+
+# values whose %.17g text is easy to get wrong: signed zeros, subnormals,
+# infinities, NaN, and integers past 2**53
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -1e-300, 0.1, 1e16, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """A 2-D array whose rows come from a small pool, so runs of repeats are common."""
+    n = draw(st.integers(0, 4))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
+    pool = [[0.0] * n, [-0.0] * n]  # equal as values, not as bits
+    pool += draw(st.lists(st.lists(value, min_size=n, max_size=n), max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_with_repeats())
+@example(np.zeros((0, 3)))
+@example(np.array([[1.5, -0.0]]))
+@example(np.array([[0.0], [-0.0], [-0.0], [0.0]]))
+@example(np.array([[math.nan, 1.0], [math.nan, 1.0], [-math.nan, 1.0]]))
+def test_format_rows_equals_per_row_formatting(samples):
+    naive = [",".join("%.17g" % v for v in row) for row in samples.tolist()]
+    assert format_rows(samples) == naive
+
+
+def test_random_draws_the_bits_uniform_draws():
+    # step draws its uniforms with Generator.random(); uniform() returns
+    # 0 + 1 * next_double, the same double from the same stream
+    a, b = np.random.default_rng(2024), np.random.default_rng(2024)
+    for _ in range(2000):
+        assert a.random().hex() == b.uniform().hex()
+        np.testing.assert_array_equal(a.standard_normal(3), b.standard_normal(3))
+    bulk_a, bulk_b = a.random(100_000), b.uniform(size=100_000)
+    assert (bulk_a.view(np.uint64) == bulk_b.view(np.uint64)).all()
+    assert a.standard_normal() == b.standard_normal()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_stats_partition():
