@@ -27,11 +27,12 @@ def main():
     # Gaussian centered deep inside a large box: constraints barely matter
     side = 50.0
     P = make_box([-side, -side], [side, side])
-    target = quadratic_target(GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2)))
+    gauss = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
+    target = quadratic_target(gauss)
 
-    modes = solve_modes(target, P)
+    modes = solve_modes(gauss, P)
     print(f"unconstrained mode x*  = {modes.x_star}")
-    print(f"constrained mode x_dag = {modes.x_dag} (kkt {modes.kkt_residual_dag:.1e})")
+    print(f"constrained mode x_dag = {modes.x_dag}")
 
     ball = warm_start_ball(
         target, P, x1=np.array([5.0, 5.0]), r_tilde=1.0, modes=modes,

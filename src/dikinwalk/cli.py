@@ -188,8 +188,8 @@ def _check_seed(args: argparse.Namespace) -> None:
 
 def _check_ball_flags(args: argparse.Namespace) -> None:
     # warm_start_ball rejects these too, but as a planner (numeric) failure
-    if not args.r_tilde > 0:
-        raise CliError("--r-tilde must be positive", EXIT_PARSE)
+    if not 0 < args.r_tilde < np.inf:
+        raise CliError("--r-tilde must be positive and finite", EXIT_PARSE)
     if args.outer_radius is not None and not 0 < args.outer_radius < np.inf:
         raise CliError("--outer-radius must be positive and finite", EXIT_PARSE)
 
@@ -221,11 +221,11 @@ def _build_target(args: argparse.Namespace, P):
     return gauss, quadratic_target(gauss)
 
 
-def _warm_start(args: argparse.Namespace, target, P, x1):
+def _warm_start(args: argparse.Namespace, gauss, target, P, x1):
     """The warm-start ball around x1; a None x1 is the constrained mode, moved
     inside when it lies within --r-tilde of the boundary."""
     try:
-        modes = solve_modes(target, P)
+        modes = solve_modes(gauss, P)
         if x1 is None:
             try:
                 x1 = warm_start_center(P, modes.x_dag, args.r_tilde)
@@ -265,7 +265,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         init = x0
     elif args.init_warmstart:
         _check_ball_flags(args)
-        ball = _warm_start(args, target, P, x1=None)
+        ball = _warm_start(args, gauss, target, P, x1=None)
         init = lambda rng: sample_warm_start(ball, rng)  # noqa: E731
     else:
         raise CliError("specify --init-point or --init-warmstart", EXIT_PARSE)
@@ -324,9 +324,11 @@ def _fmt_vec(v: np.ndarray) -> str:
 def cmd_warmstart(args: argparse.Namespace) -> int:
     _check_ball_flags(args)
     P = _load_polytope(args.polytope)
-    _, target = _build_target(args, P)
-    x1 = np.array(args.x1, dtype=float) if args.x1 else None
-    ball = _warm_start(args, target, P, x1)
+    gauss, target = _build_target(args, P)
+    x1 = None if args.x1 is None else np.array(args.x1, dtype=float)
+    if x1 is not None and (x1.shape[0] != P.n or not np.all(np.isfinite(x1))):
+        raise CliError("--x1 needs n finite values", EXIT_PARSE)
+    ball = _warm_start(args, gauss, target, P, x1)
     content = _manifest(args) + _kv_block(
         [
             ("x0", _fmt_vec(ball.x0)),
@@ -369,14 +371,14 @@ def cmd_budget(args: argparse.Namespace) -> int:
                 "--beyond-worst-case needs --polytope and --gaussian", EXIT_PARSE
             )
         P = _load_polytope(args.polytope)
-        _, target = _build_target(args, P)
+        gauss, target = _build_target(args, P)
+        modes = solve_modes(gauss, P)  # an empty polytope exits 4 through main
         try:
-            modes = solve_modes(target, P)
             res = beyond_worst_case_budget(
                 P, target, modes, args.warmness, args.eps, args.C
             )
-        except PlannerError as exc:
-            raise CliError(str(exc), EXIT_NUMERIC) from exc
+        except PlannerError as exc:  # a budget that overflows, as in mixing_budget
+            raise CliError(str(exc), EXIT_PARSE) from exc
         pairs += [
             ("T_beyond", res.T),
             ("best_delta", f"{res.best_delta:.17g}"),

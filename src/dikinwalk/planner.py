@@ -14,13 +14,9 @@ import numpy as np
 
 from dikinwalk.metrics import MetricKind, RegularizedLewis, SoftThreshold
 from dikinwalk.polytope import Polytope, chord
-from dikinwalk.target import LogConcaveTarget, RegimeError
+from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError
 
 
-MODE_TOL = 1e-8  # gradient norm / KKT residual at which solve_modes stops
-MODE_MAX_ITER = 100000  # gradient steps per mode in solve_modes
-DYKSTRA_SWEEPS = 100  # passes over the half-spaces per projection
-DYKSTRA_TOL = 1e-10  # largest move in a sweep at which the projection stops
 DELTA_GRID = np.logspace(-2, 3, 32)  # default delta grid of beyond_worst_case_budget
 
 
@@ -34,8 +30,6 @@ class ModePair:
 
     x_star: np.ndarray
     x_dag: np.ndarray
-    grad_norm_star: float
-    kkt_residual_dag: float
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,10 @@ class MixingBudgetQuery:
         values = (self.M, self.C, self.kappa, self.beta_eta, self.psi_n_sq)
         if not all(v is None or math.isfinite(v) for v in values):
             raise PlannerError("M, C, kappa, beta_eta and psi_n_sq must be finite")
+        if self.kappa is not None and not self.kappa >= 1:
+            raise PlannerError("kappa = beta / alpha must be >= 1")
+        if not all(v is None or v > 0 for v in (self.beta_eta, self.psi_n_sq)):
+            raise PlannerError("beta_eta and psi_n_sq must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,60 +101,49 @@ def _margins(P: Polytope, x: np.ndarray) -> np.ndarray:
     return (P.A @ x - P.b) / norms
 
 
-def _project_polytope(P: Polytope, y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the closure of K by Dykstra's alternating method."""
-    if bool(np.all(P.A @ y - P.b >= 0.0)):
-        return y.copy()
-    x = y.copy()
-    corrections = np.zeros((P.m, P.n))
-    norms_sq = np.einsum("ij,ij->i", P.A, P.A)
-    for _ in range(DYKSTRA_SWEEPS):
-        max_move = 0.0
-        for i in range(P.m):
-            v = x + corrections[i]
-            viol = P.b[i] - P.A[i] @ v
-            if viol > 0.0:
-                proj = v + (viol / norms_sq[i]) * P.A[i]
-            else:
-                proj = v
-            corrections[i] = v - proj
-            max_move = max(max_move, float(np.linalg.norm(proj - x)))
-            x = proj
-        if max_move <= DYKSTRA_TOL:
-            break
-    return x
+def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The point of {x | A x >= b} nearest to y, for y outside the set.
+
+    Least-distance programming (Lawson & Hanson, "Solving Least Squares
+    Problems", 1974, ch. 23): u >= 0 minimizing |E u - e| for E = [A^T; h^T],
+    h = b - A y and e = (0, ..., 0, 1) leaves r = E u - e, x = y + r[:n] / -r[n].
+    """
+    # imported here: scipy.optimize takes ~0.3 s to import, and only a mode
+    # outside K needs it
+    from scipy.optimize import nnls
+
+    n = A.shape[1]
+    h = b - A @ y
+    # -r[n] = 1 / (1 + |x - y|^2) loses digits for a far x, so solve for
+    # (x - y) / t, t the largest distance to a violated half-space
+    t = max(1.0, float(np.max(h / np.linalg.norm(A, axis=1))))
+    E = np.vstack([A.T, h / t])
+    e = np.eye(n + 1)[n]
+    try:
+        u = nnls(E, e)[0]
+    except RuntimeError as exc:
+        raise PlannerError(f"least-distance solve failed: {exc}") from None
+    r = E @ u - e
+    # -r[n] = |r|^2 > 0 unless the constraints are inconsistent; then only
+    # roundoff is left in r, and x comes out infeasible
+    if -r[n] > 0:
+        x = y + t * r[:n] / -r[n]
+        if np.all(A @ x - b >= -1e-9 * (np.abs(A) @ np.abs(x) + np.abs(b))):
+            return x
+    raise PlannerError("polytope is empty")
 
 
-def solve_modes(target: LogConcaveTarget, P: Polytope) -> ModePair:
-    """Gradient descent for the global mode, projected gradient descent for the
-    constrained one (projection via Dykstra sweeps over half-spaces)."""
-    if target.grad_f is None:
-        raise PlannerError("mode solving needs a gradient")
-    if target.alpha <= 0:
-        raise RegimeError("regime requires alpha > 0")
-    lr = 1.0 / target.beta
-    x = np.zeros(P.n)
-    grad_norm = np.inf
-    for _ in range(MODE_MAX_ITER):
-        g = target.grad_f(x)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= MODE_TOL:
-            break
-        x = x - lr * g
-    x_star = x
-
-    x = _project_polytope(P, x_star)
-    kkt = np.inf
-    for _ in range(MODE_MAX_ITER):
-        g = target.grad_f(x)
-        x_next = _project_polytope(P, x - lr * g)
-        kkt = float(np.linalg.norm(x_next - x)) * target.beta
-        x = x_next
-        if kkt <= MODE_TOL:
-            break
-    return ModePair(
-        x_star=x_star, x_dag=x, grad_norm_star=grad_norm, kkt_residual_dag=kkt
-    )
+def solve_modes(gauss: GaussianTarget, P: Polytope) -> ModePair:
+    """Modes of N(mu, Sigma) on the closure of K: x_star = mu, and x_dag the
+    point of the closure nearest to mu in the Sigma^{-1} norm, that is mu + L z
+    with Sigma = L L^T and z the least-norm point of {z | (A L) z >= b - A mu}.
+    """
+    mu = P._check_dim(gauss.mu).copy()
+    if np.all(P.A @ mu - P.b >= 0.0):
+        return ModePair(x_star=mu, x_dag=mu)
+    L = np.linalg.cholesky(gauss.Sigma)
+    z = _nearest_point(P.A @ L, P.b - P.A @ mu, np.zeros(P.n))
+    return ModePair(x_star=mu, x_dag=mu + L @ z)
 
 
 def _estimate_outer_radius(P: Polytope, x1: np.ndarray) -> float:
@@ -184,13 +171,15 @@ def warm_start_center(P: Polytope, x_dag: np.ndarray, r_tilde: float) -> np.ndar
     r_tilde, every constraint a_i^T x > b_i moved to b_i + r_tilde |a_i|,
     nearest to x_dag.
     """
+    if not 0 < r_tilde < math.inf:
+        raise PlannerError("r_tilde must be positive and finite")
     if P.m == 0 or np.min(_margins(P, x_dag)) >= r_tilde - 1e-9:
         return x_dag
     norms = np.linalg.norm(P.A, axis=1)
-    x1 = _project_polytope(Polytope(A=P.A, b=P.b + r_tilde * norms), x_dag)
-    if np.min(_margins(P, x1)) < r_tilde - 1e-9:
+    try:
+        return _nearest_point(P.A, P.b + r_tilde * norms, x_dag)
+    except PlannerError:
         raise PlannerError(f"found no ball of radius r_tilde = {r_tilde:g} in K")
-    return x1
 
 
 def warm_start_ball(
@@ -209,13 +198,14 @@ def warm_start_ball(
     distribution on the ball.
     """
     x1 = P._check_dim(x1)
-    if not r_tilde > 0:
-        raise PlannerError("r_tilde must be positive")
+    if not 0 < r_tilde < math.inf:
+        raise PlannerError("r_tilde must be positive and finite")
     if outer_radius is not None and not 0 < outer_radius < math.inf:
         raise PlannerError("outer_radius must be positive and finite")
     if target.beta <= 0:
         raise PlannerError("beta must be positive")
-    if P.m > 0 and np.min(_margins(P, x1)) < r_tilde - 1e-9:
+    # written so that a NaN margin fails it too
+    if P.m > 0 and not np.min(_margins(P, x1)) >= r_tilde - 1e-9:
         raise PlannerError("B(x1, r_tilde) is not contained in the polytope")
     beta = target.beta
     mode_gap = float(np.linalg.norm(modes.x_dag - modes.x_star))
@@ -268,6 +258,12 @@ def _log_term(M: float, eps: float) -> float:
     return max(0.0, math.log(math.sqrt(M) / eps))
 
 
+def _ceil_budget(T: float) -> int:
+    if not math.isfinite(T):
+        raise PlannerError("budget is not finite; lower C")
+    return math.ceil(T)
+
+
 def mixing_budget(qry: MixingBudgetQuery) -> int:
     """ceil(C * regime factor * n * log(sqrt(M)/eps)).
 
@@ -293,7 +289,7 @@ def mixing_budget(qry: MixingBudgetQuery) -> int:
             qry.psi_n_sq if qry.psi_n_sq is not None else max(1.0, math.log(n))
         )
         factor = psi_sq * (head + qry.beta_eta) * log_m_pow
-    return math.ceil(qry.C * factor * n * _log_term(qry.M, qry.eps))
+    return _ceil_budget(qry.C * factor * n * _log_term(qry.M, qry.eps))
 
 
 def radius_hat(s: float, n: int) -> float:
@@ -349,6 +345,6 @@ def beyond_worst_case_budget(
             best_val = val
             best_delta = float(delta)
             best_count = count
-    T = math.ceil(C * best_val * log_term)
-    plain_T = math.ceil(C * (m + kappa) * n * log_term)
+    T = _ceil_budget(C * best_val * log_term)
+    plain_T = _ceil_budget(C * (m + kappa) * n * log_term)
     return BudgetResult(T=T, best_delta=best_delta, violated_count=best_count, plain_T=plain_T)

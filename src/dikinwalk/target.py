@@ -32,7 +32,6 @@ class LogConcaveTarget:
     f: Callable[[np.ndarray], float]
     alpha: float
     beta: float
-    grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eta: Optional[float] = None
 
     def __post_init__(self):
@@ -61,6 +60,8 @@ class GaussianTarget:
         Sigma = np.asarray(self.Sigma, dtype=float)
         if Sigma.shape != (mu.shape[0], mu.shape[0]):
             raise TargetError("Sigma shape does not match mu")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(Sigma))):
+            raise TargetError("mu and Sigma must be finite")
         scale = max(1.0, float(np.abs(Sigma).max()))
         if np.abs(Sigma - Sigma.T).max() > 1e-12 * scale:
             raise TargetError("Sigma must be symmetric")
@@ -107,26 +108,19 @@ class AffineTransform:
 
 
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
-    """f(x) = (1/2)(x - mu)^T Sigma^{-1} (x - mu), with closed-form gradient."""
+    """f(x) = (1/2)(x - mu)^T Sigma^{-1} (x - mu)."""
     c, _ = scipy.linalg.cho_factor(G.Sigma, lower=True)
     mu = G.mu
     evals = np.linalg.eigvalsh(G.Sigma)
     alpha = 1.0 / float(evals.max())
     beta = 1.0 / float(evals.min())
 
-    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def f(x: np.ndarray) -> float:
         # LAPACK potrs directly, as cho_solve does minus its validation wrappers
         d = np.asarray(x, dtype=float) - mu
-        return d, dpotrs(c, d, lower=1)[0]
+        return 0.5 * float(d @ dpotrs(c, d, lower=1)[0])
 
-    def f(x: np.ndarray) -> float:
-        d, y = solve(x)
-        return 0.5 * float(d @ y)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return solve(x)[1]
-
-    return LogConcaveTarget(f=f, grad_f=grad, alpha=alpha, beta=beta)
+    return LogConcaveTarget(f=f, alpha=alpha, beta=beta)
 
 
 def precondition_gaussian(

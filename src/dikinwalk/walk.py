@@ -50,8 +50,8 @@ class WalkConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise WalkError("step size r must be positive")
+        if not 0 < self.r < math.inf:
+            raise WalkError("step size r must be positive and finite")
         if self.thin < 1:
             raise WalkError("thin must be >= 1")
         if self.steps < 0 or self.burn_in < 0:

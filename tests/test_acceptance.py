@@ -253,10 +253,11 @@ def test_criterion_8_warm_start_instances():
         margins = (P.A @ x1 - P.b) / np.linalg.norm(P.A, axis=1)
         r_tilde = 0.5 * float(np.min(margins))
         B = rng.standard_normal((n, n))
-        target = quadratic_target(
-            GaussianTarget(mu=rng.standard_normal(n), Sigma=B @ B.T + 0.4 * np.eye(n))
+        gauss = GaussianTarget(
+            mu=rng.standard_normal(n), Sigma=B @ B.T + 0.4 * np.eye(n)
         )
-        modes = solve_modes(target, P)
+        target = quadratic_target(gauss)
+        modes = solve_modes(gauss, P)
         try:
             ball = warm_start_ball(target, P, x1, r_tilde, modes, outer_radius=20.0)
         except Exception:
@@ -287,10 +288,9 @@ def test_criterion_9_budget_dominance():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(n, 12))
         P, _ = random_polytope_with_interior(n, m, rng)
-        target = quadratic_target(
-            GaussianTarget(mu=rng.standard_normal(n) * 0.2, Sigma=np.eye(n))
-        )
-        modes = solve_modes(target, P)
+        gauss = GaussianTarget(mu=rng.standard_normal(n) * 0.2, Sigma=np.eye(n))
+        target = quadratic_target(gauss)
+        modes = solve_modes(gauss, P)
         res = beyond_worst_case_budget(P, target, modes, M=10.0, eps=0.1, C=1.0)
         sentinel = beyond_worst_case_budget(
             P, target, modes, M=10.0, eps=0.1, C=1.0, delta_grid=[]

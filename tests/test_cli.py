@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +46,25 @@ def test_gaussian_parse_errors():
         parse_gaussian("x\n0\n1\n")
     with pytest.raises(TargetError):
         parse_gaussian("-1")  # n + 2 == 1 matches the line count
+    with pytest.raises(TargetError, match="finite"):
+        parse_gaussian("2\n0 0\n1 0\n0 inf\n")
+    with pytest.raises(TargetError, match="finite"):
+        parse_gaussian("2\nnan 0\n1 0\n0 1\n")
+
+
+@pytest.mark.parametrize("gaussian", ["2\n0 0\n1 0\n0 inf\n", "2\nnan 0\n1 0\n0 1\n"])
+@pytest.mark.parametrize("command", ["sample", "warmstart", "oracle"])
+def test_non_finite_gaussian_exits_2(files, gaussian, command):
+    tmp, poly, _ = files
+    gauss = tmp / "bad.txt"
+    gauss.write_text(gaussian)
+    argv = [command, "--polytope", poly, "--gaussian", str(gauss)]
+    argv += {
+        "sample": ["--lambda", "1", "--steps", "5", "--init-warmstart"],
+        "warmstart": ["--r-tilde", "0.1", "--outer-radius", "10"],
+        "oracle": ["--n-samples", "5"],
+    }[command]
+    assert main(argv) == 2
 
 
 def test_sample_row_count_and_header(files):
@@ -138,7 +160,7 @@ def test_sample_nonfinite_density_exit_codes(files, monkeypatch):
 @pytest.mark.parametrize(
     "flags",
     [["--thin", "0"], ["--step-size", "-1"], ["--steps", "-1"], ["--chains", "0"],
-     ["--seed", "-1"]],
+     ["--seed", "-1"], ["--step-size", "inf"]],
 )
 def test_sample_bad_walk_config_exits_2(files, flags):
     tmp, poly, gauss = files
@@ -209,6 +231,27 @@ def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys, recwarn):
                         ["--metric", "lewis", "--c2", "-1"])),
         ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "inf",
          "--warmness", "2", "--eps", "0.1", "--C", "1"],
+        ["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "inf"],
+        ["sample", "--polytope", "{B}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-warmstart", "--r-tilde", "inf"],
+        *(["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "0.5",
+           "--x1", *x1] for x1 in (["0", "0", "0"], ["0"], ["nan", "0"], ["0", "inf"])),
+        # an overflowing budget, and kappa < 1, beta_eta <= 0 or psi_n_sq <= 0
+        *(["budget", "--regime", "strong", "--m", "4", "--n", "2", "--warmness", "7",
+           "--eps", "0.1", *flags]
+          for flags in (["--kappa", "1", "--C", "1e308"],
+                        ["--kappa", "-100", "--C", "1"],
+                        ["--kappa", "0.5", "--C", "1"],
+                        ["--kappa", "1", "--C", "1", "--metric", "lewis",
+                         "--c2", "nan"])),
+        *(["budget", "--regime", "weak", "--m", "4", "--n", "2", "--warmness", "7",
+           "--eps", "0.1", "--C", "1", *flags]
+          for flags in (["--beta-eta", "-50"],
+                        ["--beta-eta", "1", "--psi-n-sq", "-3"])),
+        # T is finite, but T_plain = C (m + kappa) n log(2M / eps) overflows
+        ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
+         "--warmness", "1", "--eps", "0.1", "--C", "6.5e306", "--beyond-worst-case",
+         "--polytope", "{B}", "--gaussian", "{G}"],
     ],
 )
 def test_bad_flag_values_exit_2(files, argv):
@@ -378,6 +421,42 @@ def test_warm_start_without_room_names_r_tilde(tmp_path, command, capsys):
         argv += ["--lambda", "1", "--steps", "5", "--init-warmstart"]
     assert main(argv) == 4
     assert "--r-tilde" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["warmstart", "budget"])
+def test_modes_of_an_empty_polytope_exit_4(tmp_path, command, capsys):
+    poly = tmp_path / "empty.txt"
+    poly.write_text("1 2\n1\n-1\n1 0\n")  # x > 1 and x < 0
+    gauss = tmp_path / "g.txt"
+    gauss.write_text("1\n0\n1\n")
+    files = ["--polytope", str(poly), "--gaussian", str(gauss)]
+    argv = {
+        "warmstart": ["warmstart", *files, "--r-tilde", "0.1", "--outer-radius", "1"],
+        "budget": ["budget", "--regime", "strong", "--m", "2", "--n", "1",
+                   "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
+                   "--beyond-worst-case", *files],
+    }[command]
+    assert main(argv) == 4
+    assert "polytope is empty" in capsys.readouterr().err
+
+
+def test_interior_mode_skips_the_scipy_optimize_import(files):
+    # only a mode outside K needs scipy.optimize, ~0.3 s of import time
+    tmp, _, gauss = files
+    box = tmp / "box.txt"
+    box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+    code = (
+        "import sys\n"
+        "from dikinwalk.cli import main\n"
+        f"assert main(['warmstart', '--polytope', {str(box)!r}, '--gaussian', "
+        f"{gauss!r}, '--r-tilde', '0.5', '--outer-radius', '10']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_budget_worked_example(files, capsys):

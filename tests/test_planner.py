@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,17 +22,21 @@ from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, quadratic_target
 
 
-def _std_normal_target(n, mu=None):
+def _std_normal(n, mu=None):
     mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
-    return quadratic_target(GaussianTarget(mu=mu, Sigma=np.eye(n)))
+    return GaussianTarget(mu=mu, Sigma=np.eye(n))
+
+
+def _std_normal_target(n, mu=None):
+    return quadratic_target(_std_normal(n, mu))
 
 
 def test_modes_interior_minimum():
     P = make_box([-1.0, -1.0], [1.0, 1.0])
-    modes = solve_modes(_std_normal_target(2), P)
+    modes = solve_modes(_std_normal(2), P)
     np.testing.assert_allclose(modes.x_star, np.zeros(2), atol=1e-7)
     np.testing.assert_allclose(modes.x_dag, np.zeros(2), atol=1e-7)
-    assert modes.grad_norm_star <= 1e-8
+    np.testing.assert_array_equal(modes.x_star, _std_normal(2).mu)
 
 
 def test_modes_clipped_coordinate():
@@ -39,7 +44,7 @@ def test_modes_clipped_coordinate():
     # dense grid search over the box
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     target = _std_normal_target(2, mu=[2.0, 0.0])
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2, mu=[2.0, 0.0]), P)
     np.testing.assert_allclose(modes.x_dag, [1.0, 0.0], atol=1e-6)
 
     grid = np.linspace(-1.0, 1.0, 201)
@@ -57,7 +62,7 @@ def test_modes_random_instances_beat_grid():
         P, _ = random_polytope_with_interior(2, 6, rng)
         mu = rng.standard_normal(2) * 2.0
         target = _std_normal_target(2, mu=mu)
-        modes = solve_modes(target, P)
+        modes = solve_modes(_std_normal(2, mu=mu), P)
         # constrained mode must be feasible (closure) and no random feasible
         # point may do better
         assert np.all(P.A @ modes.x_dag - P.b >= -1e-7)
@@ -67,12 +72,69 @@ def test_modes_random_instances_beat_grid():
                 assert target.f(modes.x_dag) <= target.f(y) + 1e-6
 
 
+def _least_distance_reference(gauss, P):
+    """The point of the closure of P nearest to mu in the Sigma^{-1} norm, by
+    enumerating active sets: the first KKT point found is the optimum."""
+    mu, Sigma = gauss.mu, gauss.Sigma
+    scale = np.abs(P.A) @ np.abs(mu) + np.abs(P.b)
+    for k in range(1, P.n + 1):
+        for S in itertools.combinations(range(P.m), k):
+            A_S = P.A[list(S)]
+            M = A_S @ Sigma @ A_S.T
+            if np.linalg.matrix_rank(M) < k:
+                continue
+            lam = np.linalg.solve(M, P.b[list(S)] - A_S @ mu)
+            x = mu + Sigma @ A_S.T @ lam
+            if np.all(lam >= 0.0) and np.all(P.A @ x - P.b >= -1e-9 * scale):
+                return x
+    raise AssertionError("no KKT point found")
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_modes_match_active_set_enumeration(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 40)
+    done = 0
+    while done < 30:
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(n + 1, 12))
+        P, x_int = random_polytope_with_interior(n, m, rng)
+        B = rng.standard_normal((n, n))
+        Sigma = scale * (B @ B.T + 0.5 * np.eye(n))
+        gauss = GaussianTarget(mu=x_int + 3.0 * rng.standard_normal(n), Sigma=Sigma)
+        if np.all(P.A @ gauss.mu - P.b >= 0.0):
+            continue  # mu inside K: nothing to solve
+        done += 1
+        modes = solve_modes(gauss, P)
+        ref = _least_distance_reference(gauss, P)
+        np.testing.assert_array_equal(modes.x_star, gauss.mu)
+        err = np.linalg.norm(modes.x_dag - ref) / np.linalg.norm(ref)
+        assert err <= 1e-9, (n, m, err)
+
+
+def test_modes_of_an_empty_polytope_raise():
+    P = Polytope(A=np.array([[1.0], [-1.0]]), b=np.array([1.0, 0.0]))  # x > 1, x < 0
+    with pytest.raises(PlannerError, match="empty"):
+        solve_modes(_std_normal(1), P)
+
+
+def test_least_distance_failure_is_a_planner_error(monkeypatch):
+    import scipy.optimize
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", fail)
+    P = make_box([-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(PlannerError, match="least-distance"):
+        solve_modes(_std_normal(2, mu=[2.0, 0.0]), P)
+
+
 def test_warm_ball_centered_box():
     # beta = 1, modes at 0, x1 = 0, r_tilde = 1 in the box [-1,1]^n:
     # r1 = 1, x0 = 0, r0 = 1 (capped at the box margin, also 1)
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     target = _std_normal_target(2)
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2), P)
     n, R = 2, math.sqrt(2.0)
     ball = warm_start_ball(target, P, np.zeros(2), 1.0, modes, outer_radius=R)
     assert ball.r1 == pytest.approx(1.0)
@@ -87,8 +149,9 @@ def test_warm_ball_centered_box():
 
 def test_warm_ball_r1_when_modes_coincide():
     P = make_box([-2.0, -2.0], [2.0, 2.0])
-    target = quadratic_target(GaussianTarget(mu=np.zeros(2), Sigma=0.25 * np.eye(2)))
-    modes = solve_modes(target, P)  # beta = 4, modes coincide
+    gauss = GaussianTarget(mu=np.zeros(2), Sigma=0.25 * np.eye(2))
+    target = quadratic_target(gauss)
+    modes = solve_modes(gauss, P)  # beta = 4, modes coincide
     ball = warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius=4.0)
     assert ball.r1 == pytest.approx(0.5)  # 1/sqrt(beta), second branch inactive
 
@@ -96,7 +159,7 @@ def test_warm_ball_r1_when_modes_coincide():
 def test_warm_ball_rejects_bad_x1():
     P = make_orthant(2)
     target = _std_normal_target(2)
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError):
         warm_start_ball(target, P, np.array([0.05, 1.0]), 0.5, modes, outer_radius=5.0)
 
@@ -106,9 +169,23 @@ def test_warm_ball_rejects_bad_outer_radius(R):
     # log(3 R / r_tilde) used to fail with a math domain error for R <= 0
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     target = _std_normal_target(2)
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError, match="outer_radius"):
         warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius=R)
+
+
+def test_warm_start_rejects_non_finite_inputs():
+    # a NaN margin compares false either way
+    P = make_box([-1.0, -1.0], [1.0, 1.0])
+    target = _std_normal_target(2)
+    modes = solve_modes(_std_normal(2), P)
+    with pytest.raises(PlannerError, match="not contained"):
+        warm_start_ball(target, P, np.array([math.nan, 0.0]), 0.5, modes)
+    for r_tilde in (math.inf, math.nan):
+        with pytest.raises(PlannerError, match="r_tilde"):
+            warm_start_ball(target, P, np.zeros(2), r_tilde, modes)
+        with pytest.raises(PlannerError, match="r_tilde"):
+            warm_start_center(P, np.array([1.0, 0.0]), r_tilde)
 
 
 def test_warm_ball_random_instances():
@@ -125,8 +202,9 @@ def test_warm_ball_random_instances():
         r_tilde = 0.5 * float(np.min(margins))
         B = rng.standard_normal((n, n))
         Sigma = B @ B.T + 0.5 * np.eye(n)
-        target = quadratic_target(GaussianTarget(mu=rng.standard_normal(n), Sigma=Sigma))
-        modes = solve_modes(target, P)
+        gauss = GaussianTarget(mu=rng.standard_normal(n), Sigma=Sigma)
+        target = quadratic_target(gauss)
+        modes = solve_modes(gauss, P)
         try:
             ball = warm_start_ball(target, P, x_int, r_tilde, modes, outer_radius=10.0)
         except PlannerError:
@@ -144,7 +222,7 @@ def test_warm_ball_random_instances():
 def test_warm_ball_degenerate_x1_at_mode():
     P = make_box([0.0, 0.0], [1.0, 1.0])
     target = _std_normal_target(2, mu=[0.5, 0.5])
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2, mu=[0.5, 0.5]), P)
     ball = warm_start_ball(target, P, modes.x_dag, 0.25, modes, outer_radius=1.0)
     np.testing.assert_allclose(ball.x0, modes.x_dag, atol=1e-7)
     assert ball.r0 <= 0.5 + 1e-9  # capped by the box margin at the center
@@ -154,14 +232,14 @@ def test_warm_start_center_moves_a_boundary_mode_inside():
     # the standard normal's mode on the orthant is the corner at 0
     P = make_orthant(2)
     target = _std_normal_target(2)
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2), P)
     x1 = warm_start_center(P, modes.x_dag, 0.1)
     np.testing.assert_allclose(x1, [0.1, 0.1], atol=1e-9)
     ball = warm_start_ball(target, P, x1, 0.1, modes, outer_radius=10.0)
     assert np.min(ball.x0) >= ball.r0 - 1e-9 and ball.r0 > 0
     # a mode with room around it is returned as it is
     box = make_box([-1.0, -1.0], [1.0, 1.0])
-    x_dag = solve_modes(target, box).x_dag
+    x_dag = solve_modes(_std_normal(2), box).x_dag
     assert warm_start_center(box, x_dag, 0.1) is x_dag
     # no point of [0, 0.1]^2 is 0.1 away from every side
     with pytest.raises(PlannerError, match="r_tilde"):
@@ -276,6 +354,23 @@ def test_budget_query_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(PlannerError, match="finite"):
                 MixingBudgetQuery(**{**good, field: bad})
+    # kappa = beta / alpha >= 1; a negative budget used to come out
+    for field, bad in (("kappa", 0.5), ("kappa", -100.0), ("beta_eta", 0.0),
+                       ("beta_eta", -50.0), ("psi_n_sq", -3.0)):
+        with pytest.raises(PlannerError):
+            MixingBudgetQuery(**{**good, field: bad})
+
+
+def test_budgets_that_overflow_raise():
+    qry = MixingBudgetQuery(regime="strong", m=4, n=2, metric=SoftThreshold(lam=1.0),
+                            M=7.0, eps=0.1, C=1e308, kappa=1.0)
+    with pytest.raises(PlannerError, match="not finite"):
+        mixing_budget(qry)
+    P = make_box([-1.0, -1.0], [1.0, 1.0])
+    modes = solve_modes(_std_normal(2), P)
+    with pytest.raises(PlannerError, match="not finite"):
+        beyond_worst_case_budget(P, _std_normal_target(2), modes, M=10.0, eps=0.1,
+                                 C=1e308)
 
 
 def test_radius_hat_values():
@@ -314,7 +409,7 @@ def test_beyond_worst_case_sentinel_and_bound():
     for _ in range(10):
         P, _ = random_polytope_with_interior(3, 7, rng)
         target = _std_normal_target(3)
-        modes = solve_modes(target, P)
+        modes = solve_modes(_std_normal(3), P)
         res = beyond_worst_case_budget(P, target, modes, M=10.0, eps=0.1, C=1.0)
         assert res.T <= res.plain_T
         # empty grid leaves only the delta -> infinity sentinel
@@ -332,7 +427,7 @@ def test_beyond_worst_case_deep_center():
     side = 10000.0
     P = make_box([-side] * 2, [side] * 2)
     target = _std_normal_target(2)
-    modes = solve_modes(target, P)
+    modes = solve_modes(_std_normal(2), P)
     res = beyond_worst_case_budget(P, target, modes, M=10.0, eps=0.1, C=1.0)
     assert res.violated_count == 0
     assert res.best_delta == pytest.approx(1000.0)

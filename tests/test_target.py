@@ -36,22 +36,6 @@ def test_f_at_mean_is_zero():
     assert t.f(mu) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    B = rng.standard_normal((3, 3))
-    Sigma = B @ B.T + 0.5 * np.eye(3)
-    t = quadratic_target(GaussianTarget(mu=rng.standard_normal(3), Sigma=Sigma))
-    h = 1e-6
-    for _ in range(100):
-        x = rng.standard_normal(3)
-        g = t.grad_f(x)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fd = (t.f(x + e) - t.f(x - e)) / (2.0 * h)
-            assert fd == pytest.approx(g[i], rel=1e-6, abs=1e-8)
-
-
 def test_kappa_needs_strong_convexity():
     t = LogConcaveTarget(f=lambda x: 0.0, alpha=0.0, beta=1.0)
     with pytest.raises(RegimeError):
