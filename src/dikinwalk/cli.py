@@ -6,17 +6,29 @@ Files are written to temp paths and renamed once every file of the command
 is written, so errors never leave partial outputs. Exit codes: 0 ok,
 1 `diagnose` found violations, 2 file/parse error or invalid flag value,
 3 infeasible initial point, 4 numeric failure.
+
+While a command runs, every loaded OpenBLAS (numpy and scipy each link their
+own) is held to one thread, so output does not depend on the CPU count.
+`sample --chains k` runs its chains in up to one process per CPU: the
+command's own and forked ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import errno
+import functools
+import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
-from collections.abc import Iterable
+import traceback
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +74,14 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
+
+# scipy's wheels prefix OpenBLAS's symbols and suffix its 64-bit-integer build
+OPENBLAS_SYMBOLS = (
+    ("scipy_openblas", "64_"),
+    ("scipy_openblas", ""),
+    ("openblas", "64_"),
+    ("openblas", ""),
+)
 
 
 class CliError(Exception):
@@ -181,6 +201,153 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
     sys.stdout.write("".join(to_stdout))
 
 
+@functools.cache
+def _openblas() -> tuple:
+    """(get_num_threads, set_num_threads) of every OpenBLAS loaded in this process.
+
+    Both numpy's and scipy's are loaded once this module is imported. Empty
+    where /proc/self/maps does not exist.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold every loaded OpenBLAS to one thread, then restore the previous counts.
+
+    The CLI's matrices gain little from BLAS threads, a second thread pool
+    only contends for the CPUs, and chains run one process per CPU. Sums in
+    BLAS then have one order whatever the CPU count, and so have the bytes.
+    """
+    blas = _openblas()
+    saved = [get() for get, _ in blas]
+    try:
+        for _, set_ in blas:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), threads in zip(blas, saved):
+            set_(threads)
+
+
+def _chain_processes(chains: int) -> int:
+    """Processes that run `chains` chains: up to one per CPU.
+
+    One where fork does not exist, or where BLAS is not held to one thread
+    (processes of several BLAS threads each would contend for the CPUs).
+    """
+    blas = _openblas()
+    if (
+        chains == 1
+        or not hasattr(os, "fork")
+        or not blas
+        or any(get() != 1 for get, _ in blas)
+    ):
+        return 1
+    return min(chains, len(os.sched_getaffinity(0)))
+
+
+def _chains_in_order(indices: Iterable[int], chain_text: Callable[[int], str]) -> list:
+    """(i, text, None) per chain i, in order, up to the first failing one,
+    which gives (i, None, (exit code, message))."""
+    done = []
+    for i in indices:
+        try:
+            done.append((i, chain_text(i), None))
+        except CliError as exc:
+            done.append((i, None, (exc.code, str(exc))))
+            break
+    return done
+
+
+def _child(fd: int, work: Callable[[], list]) -> None:
+    """In a forked child: pickle ("ok", work()) to fd, or ("crash", traceback)
+    if it raised, and leave through os._exit; never returns or prints."""
+    try:
+        try:
+            result = ("ok", work())
+        except BaseException:
+            result = ("crash", traceback.format_exc())
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(result, fh)
+    finally:
+        os._exit(0)
+
+
+@contextlib.contextmanager
+def _chain_texts(chains: int, chain_text: Callable[[int], str]) -> Iterator[list]:
+    """Yield [chain_text(i) for i in range(chains)], computed in W processes.
+
+    Process w (w = 0 is this one, the others are forked) runs the chains
+    i = w mod W in order and stops at its first failure; this process also
+    runs the chains of a fork that failed. Children send their results back
+    over a pipe. As in a serial loop, the lowest-index failure is raised.
+    Children are reaped when the block ends, so the caller writes its outputs
+    first; on an error or interrupt they are killed first.
+    """
+    workers = _chain_processes(chains)
+    children = []  # (pid, read end of its pipe)
+    local = [0]
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wfd)
+                local.append(w)
+                continue
+            if pid == 0:
+                os.close(r)
+                indices = range(w, chains, workers)
+                _child(wfd, lambda: _chains_in_order(indices, chain_text))
+            os.close(wfd)
+            children.append((pid, os.fdopen(r, "rb")))
+        mine = [i for i in range(chains) if i % workers in local]
+        results = _chains_in_order(mine, chain_text)
+        for pid, fh in children:
+            data = fh.read()
+            if not data:
+                raise RuntimeError(f"chain process {pid} ended without a result")
+            kind, value = pickle.loads(data)
+            if kind == "crash":
+                raise RuntimeError(f"chain process {pid} failed:\n{value}")
+            results += value
+        failed = [(i, error) for i, _, error in results if error is not None]
+        if failed:
+            code, message = min(failed)[1]
+            raise CliError(message, code)
+        yield [text for _, text, _ in sorted(results)]  # chain indices are distinct
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+
+
 def _check_seed(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise CliError("--seed must be >= 0", EXIT_PARSE)
@@ -190,8 +357,12 @@ def _check_ball_flags(args: argparse.Namespace) -> None:
     # warm_start_ball rejects these too, but as a planner (numeric) failure
     if not 0 < args.r_tilde < np.inf:
         raise CliError("--r-tilde must be positive and finite", EXIT_PARSE)
-    if args.outer_radius is not None and not 0 < args.outer_radius < np.inf:
-        raise CliError("--outer-radius must be positive and finite", EXIT_PARSE)
+    # the warm-start bound squares it
+    R = args.outer_radius
+    if R is not None and not (R > 0 and math.isfinite(R * R)):
+        raise CliError(
+            "--outer-radius must be positive with a finite square", EXIT_PARSE
+        )
 
 
 def _resolve_metric(args: argparse.Namespace, beta: float | None):
@@ -270,29 +441,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         raise CliError("specify --init-point or --init-warmstart", EXIT_PARSE)
 
-    # chains run one after another; none is written until all have finished,
-    # so a failing chain leaves no output behind
-    batches = []
-    try:
-        for i in range(args.chains):
-            chain = dataclasses.replace(config, seed=args.seed + i)
-            batches.append(run(init, target, P, chain))
-    except NonFiniteDensityError as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from exc
-    except WalkError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
-    except MetricError as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from exc
     manifest = _manifest(args)
+
+    def chain_text(i: int) -> str:
+        chain = dataclasses.replace(config, seed=args.seed + i)
+        try:
+            batch = run(init, target, P, chain)
+        except NonFiniteDensityError as exc:
+            raise CliError(str(exc), EXIT_NUMERIC) from exc
+        except WalkError as exc:
+            raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+        except MetricError as exc:
+            raise CliError(str(exc), EXIT_NUMERIC) from exc
+        return manifest + format_csv(batch, header=args.header)
+
     paths = [args.out] * args.chains
     if args.out is not None and args.chains > 1:
         root, ext = os.path.splitext(args.out)
         paths = [f"{root}_{i}{ext}" for i in range(args.chains)]
-    # a generator, so only one chain's CSV text is held at a time
-    _write_outputs(
-        (path, manifest + format_csv(batch, header=args.header))
-        for path, batch in zip(paths, batches)
-    )
+    # chain i has seed seed + i whichever process runs it; each process formats
+    # its own chains (~10% of a (10, 40) command). Nothing is written until
+    # every chain has finished, so a failing chain leaves no output behind.
+    with _chain_texts(args.chains, chain_text) as texts:
+        _write_outputs(zip(paths, texts))
     return EXIT_OK
 
 
@@ -527,7 +698,10 @@ def main(argv=None) -> int:
     # the library turns a non-finite G, log det, Lewis weight or f into an
     # error of its own, so numpy's overflow warnings would only repeat it
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with (
+            _one_blas_thread(),
+            np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+        ):
             return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -217,7 +217,10 @@ def evaluate_metric(
         m, n = Ax.shape
         q = kind.q if kind.q is not None else default_lewis_q(m)
         lw = lewis_weights(Ax, q=q, tol=kind.tol, max_iter=kind.max_iter)
-        scale = kind.c1 * math.sqrt(n) * math.log(m) ** kind.c2
+        try:
+            scale = kind.c1 * math.sqrt(n) * math.log(m) ** kind.c2
+        except OverflowError:
+            raise MetricError("non-finite metric: (log m)^c2 overflows") from None
         G = scale * (Ax.T @ (lw.w[:, None] * Ax))
     else:
         raise MetricError(f"unknown metric kind {kind!r}")

@@ -223,10 +223,15 @@ def warm_start_ball(
         raise PlannerError("warm-start ball collapsed (x0 too close to boundary)")
     estimated = outer_radius is None
     R_tilde = _estimate_outer_radius(P, x1) if estimated else float(outer_radius)
-    second = 0.5 * math.log(beta * R_tilde**2)
-    if mode_gap > 0:
-        second = max(second, math.log(2.0 * beta * R_tilde * mode_gap))
-    logM = 1.0 + P.n * math.log(3.0 * R_tilde / r_tilde) + P.n * second
+    try:
+        second = 0.5 * math.log(beta * R_tilde**2)
+        if mode_gap > 0:
+            second = max(second, math.log(2.0 * beta * R_tilde * mode_gap))
+        logM = 1.0 + P.n * math.log(3.0 * R_tilde / r_tilde) + P.n * second
+    except (OverflowError, ValueError):  # R_tilde^2 overflows, or beta R_tilde^2 is 0
+        raise PlannerError(
+            f"warmness bound logM is out of range at outer radius {R_tilde:g}"
+        ) from None
     ball = WarmStartBall(
         x0=x0, r0=r0, r1=r1, logM=logM, outer_radius_estimated=estimated
     )
@@ -275,7 +280,10 @@ def mixing_budget(qry: MixingBudgetQuery) -> int:
     lewis = isinstance(qry.metric, RegularizedLewis)
     if lewis:
         c2 = qry.metric.c2
-        log_m_pow = math.log(m) ** c2 if m > 1 else 1.0
+        try:
+            log_m_pow = math.log(m) ** c2 if m > 1 else 1.0
+        except OverflowError:  # _ceil_budget rejects the infinite budget
+            log_m_pow = math.inf
         head = n**1.5
     else:
         if not isinstance(qry.metric, SoftThreshold):

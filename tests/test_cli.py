@@ -210,6 +210,19 @@ def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys, recwarn):
     assert not out.exists()
 
 
+def test_sample_lewis_scale_overflow_exits_4(files, capsys):
+    # (log 4)^1e308 overflows a float
+    tmp, poly, gauss = files
+    box = tmp / "box.txt"
+    box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+    code = main([
+        "sample", "--polytope", str(box), "--gaussian", gauss, "--metric", "lewis",
+        "--c2", "1e308", "--lambda", "1", "--steps", "5", "--init-point", "0", "0",
+    ])
+    assert code == 4
+    assert capsys.readouterr().err == "error: non-finite metric: (log m)^c2 overflows\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -252,6 +265,13 @@ def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys, recwarn):
         ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
          "--warmness", "1", "--eps", "0.1", "--C", "6.5e306", "--beyond-worst-case",
          "--polytope", "{B}", "--gaussian", "{G}"],
+        # (log m)^c2 overflows
+        ["budget", "--metric", "lewis", "--c2", "1e308", "--regime", "strong",
+         "--m", "4", "--n", "2", "--kappa", "1", "--warmness", "7", "--eps", "0.1",
+         "--C", "1"],
+        # the warm-start bound squares the outer radius
+        ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--r-tilde", "0.1",
+         "--outer-radius", "1e200"],
     ],
 )
 def test_bad_flag_values_exit_2(files, argv):
@@ -316,18 +336,22 @@ def test_sample_chain_files_all_or_nothing(files, monkeypatch):
     # a write failing on the second chain's file leaves the first unwritten
     tmp, poly, gauss = files
     calls = []
-    format_csv = cli.format_csv
+    mkstemp = cli.tempfile.mkstemp
 
-    def format_csv_then_disk_full(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise OSError(28, "No space left on device")
-        return format_csv(*args, **kwargs)
+    def mkstemp_then_disk_full(*args, **kwargs):
+        fd, tmp_path = mkstemp(*args, **kwargs)
+        calls.append(tmp_path)
+        if len(calls) == 2:  # the second chain's staged file is on a full disk
+            full = os.open("/dev/full", os.O_WRONLY)
+            os.dup2(full, fd)
+            os.close(full)
+        return fd, tmp_path
 
-    monkeypatch.setattr(cli, "format_csv", format_csv_then_disk_full)
+    monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp_then_disk_full)
     monkeypatch.chdir(tmp)
     argv = [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
     assert main([*argv, "--out", "s.csv"]) == 2
+    assert len(calls) == 2
     assert not list(tmp.glob("s_*.csv")) and not list(tmp.glob(".dikinwalk-*"))
 
 
@@ -352,6 +376,182 @@ def test_sample_multichain(files):
     strip = lambda p: [ln for ln in _data_lines(p) if "," in ln]  # noqa: E731
     assert strip(parts[0]) == strip(single)
     assert strip(parts[1]) != strip(single)
+    # chain i equals a single-chain run with seed 5 + i, stats block included
+    for i, part in enumerate(parts):
+        main([
+            "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+            "--seed", str(5 + i), "--steps", "50", "--init-point", "1", "1",
+            "--out", str(single),
+        ])
+        assert _after_manifest(part) == _after_manifest(single)
+
+
+def _after_manifest(path):
+    lines = path.read_text().splitlines()
+    start = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+    return lines[start:]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _finite_left_of(t):
+    def factory(gauss):
+        def f(x):
+            return 0.5 * float(x @ x) if x[0] < t else math.inf
+
+        return LogConcaveTarget(f=f, alpha=1.0, beta=1.0)
+
+    return factory
+
+
+@pytest.mark.parametrize(
+    "seed, flags, kind",
+    [
+        # f is infinite at x[0] >= 1.3: chain 0 never proposes there, chains 1
+        # and 2 do, at different points
+        (17, [], "f"),
+        # residual floors near 6e-16 vary with the point: chain 0 converges
+        # everywhere, chains 1 and 2 fail with different residuals
+        (3, ["--metric", "lewis", "--lewis-tol", "6e-16"], "lewis"),
+    ],
+    ids=["non-finite-f", "lewis-convergence"],
+)
+def test_failing_chain_matches_serial(tmp_path, monkeypatch, capsys, seed, flags, kind):
+    box = tmp_path / "box.txt"
+    box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+    orthant = tmp_path / "orthant2.txt"
+    orthant.write_text(ORTHANT2)
+    gauss = tmp_path / "std2.txt"
+    gauss.write_text(STD2)
+    if kind == "f":
+        monkeypatch.setattr(cli, "quadratic_target", _finite_left_of(1.3))
+        poly, x0 = orthant, ["1", "1"]
+    else:
+        poly, x0 = box, ["0.5", "0.5"]
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        "sample", "--polytope", str(poly), "--gaussian", str(gauss), "--lambda", "1",
+        "--steps", "10", "--no-lazy", "--step-size", "0.3", "--init-point", *x0, *flags,
+    ]
+    serial = []
+    for i in range(3):
+        code = main([*argv, "--seed", str(seed + i)])
+        serial.append((code, capsys.readouterr().err))
+    # chain 0 succeeds; chains 1 and 2 fail, each in its own way
+    assert serial[0][0] == 0 and serial[1][0] == serial[2][0] == 4
+    assert serial[1][1] != serial[2][1]
+    if kind == "lewis":
+        assert "did not converge" in serial[1][1]
+    code = main([*argv, "--seed", str(seed), "--chains", "3", "--out", "s.csv"])
+    assert (code, capsys.readouterr().err) == serial[1]
+    assert not list(tmp_path.glob("s_*.csv"))
+    assert not list(tmp_path.glob(".dikinwalk-*"))
+    _no_child_left()
+
+
+def test_interrupt_reaps_chain_processes(files, monkeypatch):
+    # an interrupt in this process while the other chains run kills and reaps them
+    tmp, poly, gauss = files
+    me = os.getpid()
+
+    def run_interrupted_here(*args, **kwargs):
+        if os.getpid() == me:
+            raise KeyboardInterrupt
+        return run(*args, **kwargs)
+
+    run = cli.run
+    monkeypatch.setattr(cli, "run", run_interrupted_here)
+    monkeypatch.chdir(tmp)
+    argv = [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--steps", "100000", "--out", "s.csv"])
+    _no_child_left()
+    assert not list(tmp.glob("s_*.csv")) and not list(tmp.glob(".dikinwalk-*"))
+
+
+def test_chain_process_crash_is_reported(files, monkeypatch):
+    # an unexpected error in another process comes back with its traceback
+    tmp, poly, gauss = files
+    me = os.getpid()
+
+    def run_failing_elsewhere(*args, **kwargs):
+        if os.getpid() != me:
+            raise ZeroDivisionError("in a chain process")
+        return run(*args, **kwargs)
+
+    run = cli.run
+    monkeypatch.setattr(cli, "run", run_failing_elsewhere)
+    monkeypatch.setattr(cli, "_chain_processes", lambda chains: min(chains, 2))
+    monkeypatch.chdir(tmp)
+    argv = [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
+    with pytest.raises(RuntimeError, match="ZeroDivisionError: in a chain process"):
+        main([*argv, "--out", "s.csv"])
+    _no_child_left()
+    assert not list(tmp.glob("s_*.csv")) and not list(tmp.glob(".dikinwalk-*"))
+
+
+def test_chain_processes_at_most_one_per_cpu(files, monkeypatch):
+    tmp, poly, gauss = files
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.chdir(tmp)
+    argv = [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
+    assert main([*argv, "--chains", "5", "--out", "s.csv"]) == 0
+    assert len(forks) <= len(os.sched_getaffinity(0)) - 1
+    assert len(list(tmp.glob("s_*.csv"))) == 5
+    _no_child_left()
+
+
+def test_failed_fork_leaves_its_chains_here(files, monkeypatch):
+    tmp, poly, gauss = files
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.chdir(tmp)
+    argv = [*[a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS], "--chains", "3"]
+    assert main([*argv, "--out", "a.csv"]) == 0
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "_chain_processes", lambda chains: min(chains, 2))
+    assert main([*argv, "--out", "b.csv"]) == 0
+    for i in range(3):
+        a, b = tmp / f"a_{i}.csv", tmp / f"b_{i}.csv"
+        assert _after_manifest(a) == _after_manifest(b)
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # at (100, 1000) OpenBLAS sums the Gram matrix in another order with 2 threads
+    from dikinwalk.diagnostics import random_polytope_with_interior
+    from dikinwalk.polytope import serialize_polytope
+
+    P, _ = random_polytope_with_interior(100, 1000, np.random.default_rng(0))
+    poly = tmp_path / "P.txt"
+    poly.write_text(serialize_polytope(P))
+    gauss = tmp_path / "G.txt"
+    gauss.write_text(serialize_gaussian(GaussianTarget(mu=np.zeros(100),
+                                                       Sigma=0.05**2 * np.eye(100))))
+    argv = [
+        sys.executable, "-m", "dikinwalk.cli", "sample", "--polytope", str(poly),
+        "--gaussian", str(gauss), "--lambda-from-beta", "--step-size", "0.5",
+        "--steps", "50", "--seed", "3", "--init-point", *["0"] * 100,
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_precondition_identity(files):

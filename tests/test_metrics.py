@@ -191,6 +191,13 @@ def test_metric_non_finite_near_boundary(kind):
         evaluate_metric(P, np.array([1e-300]), kind)
 
 
+def test_lewis_scale_overflow_raises():
+    # (log 4)^1e308 overflows a float; RegularizedLewis only requires c2 >= 0
+    P = Polytope(A=np.vstack([np.eye(2), -np.eye(2)]), b=-np.ones(4))
+    with pytest.raises(MetricError, match="non-finite"):
+        evaluate_metric(P, np.zeros(2), RegularizedLewis(lam=1.0, c2=1e308))
+
+
 def test_lewis_needs_enough_rows():
     with pytest.raises(MetricError):
         lewis_weights(np.ones((1, 2)), q=4)

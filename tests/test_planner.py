@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -186,6 +187,10 @@ def test_warm_start_rejects_non_finite_inputs():
             warm_start_ball(target, P, np.zeros(2), r_tilde, modes)
         with pytest.raises(PlannerError, match="r_tilde"):
             warm_start_center(P, np.array([1.0, 0.0]), r_tilde)
+    # R_tilde^2 overflows, or beta R_tilde^2 underflows to 0
+    for outer_radius in (1e200, 1e-200):
+        with pytest.raises(PlannerError, match="logM is out of range"):
+            warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius)
 
 
 def test_warm_ball_random_instances():
@@ -366,6 +371,9 @@ def test_budgets_that_overflow_raise():
                             M=7.0, eps=0.1, C=1e308, kappa=1.0)
     with pytest.raises(PlannerError, match="not finite"):
         mixing_budget(qry)
+    lewis = RegularizedLewis(lam=1.0, c2=1e308)  # (log m)^c2 overflows
+    with pytest.raises(PlannerError, match="not finite"):
+        mixing_budget(dataclasses.replace(qry, metric=lewis, C=1.0))
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError, match="not finite"):
