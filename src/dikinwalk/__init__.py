@@ -10,7 +10,6 @@ geometry, numeric self-concordance certification).
 """
 
 from dikinwalk.polytope import (
-    Chord,
     Polytope,
     PolytopeError,
     chord,
@@ -50,7 +49,6 @@ from dikinwalk.walk import (
     propose,
     run,
     step,
-    write_csv,
 )
 from dikinwalk.planner import (
     BudgetResult,
@@ -74,7 +72,6 @@ from dikinwalk.diagnostics import (
     compare_moments,
     cross_ratio,
     hilbert,
-    mixed_distance,
     rejection_oracle,
 )
 

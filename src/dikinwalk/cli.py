@@ -89,6 +89,10 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        # pickle would call the class with self.args, which hold the message
+        return type(self), (str(self), self.code)
+
 
 def _read_file(path: str) -> str:
     try:
@@ -365,10 +369,8 @@ def _check_ball_flags(args: argparse.Namespace) -> None:
         )
 
 
-def _resolve_metric(args: argparse.Namespace, beta: float | None):
+def _resolve_metric(args: argparse.Namespace, beta: float):
     if args.lambda_from_beta:
-        if beta is None:
-            raise CliError("--lambda-from-beta needs a Gaussian target", EXIT_PARSE)
         lam = beta
     elif args.lam is not None:
         lam = args.lam
@@ -567,10 +569,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     P = _load_polytope(args.polytope)
     gauss = _load_gaussian(args.gaussian)
     rng = np.random.default_rng(args.seed)
-    try:
-        result = rejection_oracle(gauss, P, args.n_samples, rng)
-    except DiagnosticsError as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from exc
+    result = rejection_oracle(gauss, P, args.n_samples, rng)
     lines = format_rows(result.samples)
     lines.append(f"# acceptance={result.acceptance:.17g}")
     _write_outputs([(args.out, _manifest(args) + "\n".join(lines) + "\n")])

@@ -27,6 +27,10 @@ class LewisConvergenceError(MetricError):
             f"after {iterations} iterations"
         )
 
+    def __reduce__(self):
+        # pickle would call the class with self.args, which hold the message
+        return type(self), (self.residual, self.iterations)
+
 
 def default_lewis_q(m: int) -> int:
     """Smallest even integer >= max(4, 2 ceil(log2 m))."""
@@ -54,7 +58,6 @@ class RegularizedLewis:
     c2: float = 0.0
     q: int | None = None  # None -> default_lewis_q(m)
     tol: float = 1e-8
-    max_iter: int = 1000
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -63,8 +66,8 @@ class RegularizedLewis:
             raise MetricError("need c1 > 0 and c2 >= 0")
         if self.q is not None and (self.q < 4 or self.q % 2 != 0):
             raise MetricError("q must be an even integer >= 4")
-        if not self.tol > 0 or self.max_iter < 1:
-            raise MetricError("need tol > 0 and max_iter >= 1")
+        if not self.tol > 0:
+            raise MetricError("need tol > 0")
 
 
 MetricKind = Union[SoftThreshold, RegularizedLewis]
@@ -216,7 +219,7 @@ def evaluate_metric(
     elif isinstance(kind, RegularizedLewis):
         m, n = Ax.shape
         q = kind.q if kind.q is not None else default_lewis_q(m)
-        lw = lewis_weights(Ax, q=q, tol=kind.tol, max_iter=kind.max_iter)
+        lw = lewis_weights(Ax, q=q, tol=kind.tol)
         try:
             scale = kind.c1 * math.sqrt(n) * math.log(m) ** kind.c2
         except OverflowError:

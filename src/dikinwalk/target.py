@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -25,14 +25,12 @@ class LogConcaveTarget:
     """Negative log-density f (up to an additive constant) with curvature bounds.
 
     alpha is the strong-convexity modulus (0 allowed, weakly logconcave);
-    beta the smoothness. eta optionally bounds the target covariance norm
-    for the weakly logconcave regime.
+    beta the smoothness.
     """
 
     f: Callable[[np.ndarray], float]
     alpha: float
     beta: float
-    eta: Optional[float] = None
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -95,7 +93,8 @@ class AffineTransform:
         shift = np.asarray(self.shift, dtype=float).reshape(-1)
         if L.shape != (shift.shape[0], shift.shape[0]):
             raise TargetError("L shape does not match shift")
-        if not np.isfinite(np.linalg.cond(L)) or np.linalg.det(L) == 0.0:
+        # rank is scale-free: det underflows to 0 for a small, well-conditioned L
+        if np.linalg.matrix_rank(L) != L.shape[0]:
             raise TargetError("L must be invertible")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "shift", shift)

@@ -238,12 +238,6 @@ def run(
     )
 
 
-def write_csv(batch: SampleBatch, path: str, header: bool = False) -> None:
-    """Samples as CSV rows (17 sig digits), stats as a trailing comment block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_csv(batch, header=header))
-
-
 def format_rows(samples: np.ndarray) -> list[str]:
     """One CSV line per row of a 2-D array, 17 significant digits per value.
 

@@ -25,7 +25,7 @@ from dikinwalk.planner import (
 )
 from dikinwalk.polytope import contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, quadratic_target
-from dikinwalk.walk import WalkConfig, log_accept_ratio, run, write_csv
+from dikinwalk.walk import WalkConfig, format_csv, log_accept_ratio, run
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -310,8 +310,11 @@ def test_criterion_10_lazification_and_determinism(tmp_path):
     frac = batch.stats.lazy_skips / 100000
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg2 = WalkConfig(metric=SoftThreshold(lam=1.0), r=0.4, steps=500, seed=9)
-    write_csv(run(np.array([0.5, 0.5]), flat, P, cfg2), str(a), header=True)
-    write_csv(run(np.array([0.5, 0.5]), flat, P, cfg2), str(b), header=True)
+    for path in (a, b):
+        path.write_text(
+            format_csv(run(np.array([0.5, 0.5]), flat, P, cfg2), header=True),
+            encoding="utf-8",
+        )
     identical = a.read_bytes() == b.read_bytes()
     _verdict(
         10,

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -8,7 +9,12 @@ import pytest
 
 from dikinwalk import cli
 from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
-from dikinwalk.target import GaussianTarget, LogConcaveTarget, TargetError
+from dikinwalk.diagnostics import DiagnosticsError
+from dikinwalk.metrics import LewisConvergenceError, MetricError
+from dikinwalk.planner import PlannerError
+from dikinwalk.polytope import PolytopeError, PolytopeFormatError
+from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError, TargetError
+from dikinwalk.walk import NonFiniteDensityError, WalkError
 
 ORTHANT2 = "2 2\n1 0\n0 1\n0 0\n"
 STD2 = "2\n0 0\n1 0\n0 1\n"
@@ -568,6 +574,22 @@ def test_precondition_identity(files):
     assert [float(v) for v in t_rows[-1].split()] == [0.0, 0.0]
 
 
+def test_precondition_tiny_covariance(tmp_path):
+    # Sigma = 1e-300 I: the transform's L = 1e-150 I has det 0.0 but is invertible
+    poly = tmp_path / "orthant3.txt"
+    poly.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n0 0 0\n")
+    gauss = tmp_path / "tiny.txt"
+    gauss.write_text(serialize_gaussian(GaussianTarget(mu=np.zeros(3),
+                                                       Sigma=1e-300 * np.eye(3))))
+    outp, outt = tmp_path / "p.txt", tmp_path / "t.txt"
+    code = main([
+        "precondition", "--polytope", str(poly), "--gaussian", str(gauss),
+        "--out-polytope", str(outp), "--out-transform", str(outt),
+    ])
+    assert code == 0
+    assert outp.exists() and outt.exists()
+
+
 def test_warmstart_block(files, capsys):
     _, poly, gauss = files
     code = main([
@@ -713,6 +735,47 @@ def test_oracle_needs_a_sample(files):
         "oracle", "--polytope", poly, "--gaussian", gauss, "--n-samples", "0",
     ])
     assert code == 2
+
+
+def test_oracle_without_acceptance_exits_4(tmp_path, capsys):
+    # N(0, 1) has no mass to speak of on x > 50
+    poly = tmp_path / "far.txt"
+    poly.write_text("1 1\n1\n50\n")
+    gauss = tmp_path / "g.txt"
+    gauss.write_text("1\n0\n1\n")
+    out = tmp_path / "never.csv"
+    code = main([
+        "oracle", "--polytope", str(poly), "--gaussian", str(gauss),
+        "--n-samples", "1", "--out", str(out),
+    ])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: rejection oracle acceptance too low")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        PolytopeError("p"),
+        PolytopeFormatError("bad token", line=3),
+        TargetError("t"),
+        RegimeError("r"),
+        MetricError("m"),
+        LewisConvergenceError(1e-3, 10),
+        PlannerError("pl"),
+        DiagnosticsError("d"),
+        WalkError("w"),
+        NonFiniteDensityError("f"),
+        cli.CliError("x", 2),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_errors_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    for attr in ("residual", "iterations", "code", "line"):
+        assert getattr(back, attr, None) == getattr(exc, attr, None)
 
 
 def test_diagnose_exit_zero(files, capsys):

@@ -1,0 +1,20 @@
+"""Each script under demos/ runs to completion against the package in src/."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_0(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -12,7 +12,6 @@ from dikinwalk.diagnostics import (
     cross_ratio,
     diagnose_corpus,
     hilbert,
-    mixed_distance,
     random_polytope_with_interior,
     rejection_oracle,
 )
@@ -96,33 +95,6 @@ def test_hilbert_triangle_inequality():
                     pts.append(cand)
             x, y, z = pts
             assert hilbert(P, x, z) <= hilbert(P, x, y) + hilbert(P, y, z) + 1e-9
-
-
-def test_mixed_distance_basics():
-    P = make_box([0.0, 0.0], [1.0, 1.0])
-    x = np.array([0.5, 0.5])
-    assert mixed_distance(P, x, x, 1.0, "strong") == 0.0
-    assert mixed_distance(P, x, x, 1.0, "weak") == 0.0
-    free = Polytope(A=np.zeros((0, 2)), b=np.zeros(0))
-    y = np.array([0.9, 0.1])
-    d = mixed_distance(free, x, y, 1.0, "strong")
-    assert d == pytest.approx(math.log(2.0) * np.linalg.norm(x - y))
-    with pytest.raises(DiagnosticsError):
-        mixed_distance(P, x, y, 1.0, "other")
-    with pytest.raises(DiagnosticsError):
-        mixed_distance(P, x, y, 0.0, "strong")
-
-
-def test_mixed_weak_below_strong_with_matched_parameter():
-    rng = np.random.default_rng(30)
-    P = make_box([0.0, 0.0], [1.0, 1.0])
-    eta = 2.5
-    for _ in range(100):
-        x = rng.uniform(0.05, 0.95, 2)
-        y = rng.uniform(0.05, 0.95, 2)
-        weak = mixed_distance(P, x, y, eta, "weak")
-        strong = mixed_distance(P, x, y, 1.0 / eta, "strong")
-        assert weak <= strong + 1e-12  # log(1+t) <= t
 
 
 def test_rejection_oracle_unconstrained():

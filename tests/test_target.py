@@ -118,3 +118,19 @@ def test_transform_round_trip():
     T = AffineTransform(L=L, shift=rng.standard_normal(3))
     x = rng.standard_normal(3)
     np.testing.assert_allclose(T.apply(T.inverse_apply(x)), x, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [1e-200 * np.eye(3), 5e-4 * np.eye(100)])
+def test_transform_accepts_small_invertible_L(L):
+    # det(L) underflows to 0.0 for both; invertibility does not depend on scale
+    assert np.linalg.det(L) == 0.0
+    T = AffineTransform(L=L, shift=np.zeros(L.shape[0]))
+    y = np.ones(L.shape[0])
+    np.testing.assert_allclose(T.inverse_apply(T.apply(y)), y)
+
+
+@pytest.mark.parametrize("L", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))])
+def test_transform_rejects_singular_L(L):
+    # pytest turns a RuntimeWarning into an error, so none is printed first
+    with pytest.raises(TargetError, match="invertible"):
+        AffineTransform(L=L, shift=np.zeros(2))
