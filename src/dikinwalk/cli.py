@@ -9,8 +9,10 @@ is written, so errors never leave partial outputs. Exit codes: 0 ok,
 
 While a command runs, every loaded OpenBLAS (numpy and scipy each link their
 own) is held to one thread, so output does not depend on the CPU count.
-`sample --chains k` runs its chains in up to one process per CPU: the
-command's own and forked ones.
+`sample --chains k` runs its k chains, and `diagnose` the 20 instances of its
+corpus, in up to one process per CPU: the command's own and forked ones.
+Each chain and each instance draws from its own seeded stream, so the
+output bytes do not depend on which process ran it.
 """
 
 from __future__ import annotations
@@ -253,32 +255,32 @@ def _one_blas_thread() -> Iterator[None]:
             set_(threads)
 
 
-def _chain_processes(chains: int) -> int:
-    """Processes that run `chains` chains: up to one per CPU.
+def _chain_processes(tasks: int) -> int:
+    """Processes that run `tasks` independent tasks: up to one per CPU.
 
     One where fork does not exist, or where BLAS is not held to one thread
     (processes of several BLAS threads each would contend for the CPUs).
     """
     blas = _openblas()
     if (
-        chains == 1
+        tasks == 1
         or not hasattr(os, "fork")
         or not blas
         or any(get() != 1 for get, _ in blas)
     ):
         return 1
-    return min(chains, len(os.sched_getaffinity(0)))
+    return min(tasks, len(os.sched_getaffinity(0)))
 
 
-def _chains_in_order(indices: Iterable[int], chain_text: Callable[[int], str]) -> list:
-    """(i, text, None) per chain i, in order, up to the first failing one,
-    which gives (i, None, (exit code, message))."""
+def _in_order(task: Callable, items, positions: Iterable[int]) -> list:
+    """(k, task(items[k]), None) per position k, in order, up to the first
+    failing one, which gives (k, None, (exit code, message))."""
     done = []
-    for i in indices:
+    for k in positions:
         try:
-            done.append((i, chain_text(i), None))
+            done.append((k, task(items[k]), None))
         except CliError as exc:
-            done.append((i, None, (exc.code, str(exc))))
+            done.append((k, None, (exc.code, str(exc))))
             break
     return done
 
@@ -298,17 +300,19 @@ def _child(fd: int, work: Callable[[], list]) -> None:
 
 
 @contextlib.contextmanager
-def _chain_texts(chains: int, chain_text: Callable[[int], str]) -> Iterator[list]:
-    """Yield [chain_text(i) for i in range(chains)], computed in W processes.
+def _in_processes(task: Callable, items) -> Iterator[list]:
+    """Yield [task(item) for item in items], computed in W processes.
 
-    Process w (w = 0 is this one, the others are forked) runs the chains
-    i = w mod W in order and stops at its first failure; this process also
-    runs the chains of a fork that failed. Children send their results back
-    over a pipe. As in a serial loop, the lowest-index failure is raised.
-    Children are reaped when the block ends, so the caller writes its outputs
-    first; on an error or interrupt they are killed first.
+    The tasks are independent, and a task reports failure by raising
+    CliError. Process w (w = 0 is this one, the others are forked) runs the
+    tasks at positions k = w mod W in order and stops at its first failure;
+    this process also runs the tasks of a fork that failed. Children send
+    their results back over a pipe. As in a serial loop, the lowest-position
+    failure is raised. Children are reaped when the block ends, so the caller
+    writes its outputs first; on an error or interrupt they are killed first.
     """
-    workers = _chain_processes(chains)
+    count = len(items)
+    workers = _chain_processes(count)
     children = []  # (pid, read end of its pipe)
     local = [0]
     try:
@@ -323,25 +327,25 @@ def _chain_texts(chains: int, chain_text: Callable[[int], str]) -> Iterator[list
                 continue
             if pid == 0:
                 os.close(r)
-                indices = range(w, chains, workers)
-                _child(wfd, lambda: _chains_in_order(indices, chain_text))
+                positions = range(w, count, workers)
+                _child(wfd, lambda: _in_order(task, items, positions))
             os.close(wfd)
             children.append((pid, os.fdopen(r, "rb")))
-        mine = [i for i in range(chains) if i % workers in local]
-        results = _chains_in_order(mine, chain_text)
+        mine = [k for k in range(count) if k % workers in local]
+        results = _in_order(task, items, mine)
         for pid, fh in children:
             data = fh.read()
             if not data:
-                raise RuntimeError(f"chain process {pid} ended without a result")
+                raise RuntimeError(f"task process {pid} ended without a result")
             kind, value = pickle.loads(data)
             if kind == "crash":
-                raise RuntimeError(f"chain process {pid} failed:\n{value}")
+                raise RuntimeError(f"task process {pid} failed:\n{value}")
             results += value
-        failed = [(i, error) for i, _, error in results if error is not None]
+        failed = [(k, error) for k, _, error in results if error is not None]
         if failed:
             code, message = min(failed)[1]
             raise CliError(message, code)
-        yield [text for _, text, _ in sorted(results)]  # chain indices are distinct
+        yield [result for _, result, _ in sorted(results)]  # positions are distinct
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -464,7 +468,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     # chain i has seed seed + i whichever process runs it; each process formats
     # its own chains (~10% of a (10, 40) command). Nothing is written until
     # every chain has finished, so a failing chain leaves no output behind.
-    with _chain_texts(args.chains, chain_text) as texts:
+    with _in_processes(chain_text, range(args.chains)) as texts:
         _write_outputs(zip(paths, texts))
     return EXIT_OK
 
@@ -580,17 +584,27 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1", EXIT_PARSE)
     _check_seed(args)
-    reports = diagnose_corpus(seed=args.seed, trials=args.trials)
-    lines = []
-    total_violations = 0
-    for rep in reports:
-        total_violations += rep.violations
-        lines.append(
+
+    def in_processes(instance: Callable, indices) -> list:
+        # instance i draws from its own stream [seed, i] whichever process
+        # runs it, and fails with exit 4 there as here
+        def task(i: int):
+            try:
+                return instance(i)
+            except (DiagnosticsError, MetricError) as exc:
+                raise CliError(str(exc), EXIT_NUMERIC) from exc
+
+        return children.enter_context(_in_processes(task, indices))
+
+    with contextlib.ExitStack() as children:
+        reports = diagnose_corpus(args.seed, args.trials, map=in_processes)
+        lines = [
             f"{rep.name} trials={rep.trials} violations={rep.violations} "
             f"max_slack={rep.max_slack:.6f}"
-        )
-    _write_outputs([(args.out, _manifest(args) + "\n".join(lines) + "\n")])
-    return EXIT_OK if total_violations == 0 else 1
+            for rep in reports
+        ]
+        _write_outputs([(args.out, _manifest(args) + "\n".join(lines) + "\n")])
+    return EXIT_OK if sum(rep.violations for rep in reports) == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -683,7 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=1000,
-        help="trials per check, rounded down to a multiple of 20 with a floor of 20",
+        help="trials per check, rounded down to a multiple of 20 with a floor of 20; "
+        "instance i of the 20 draws from the stream [seed, i], and the instances "
+        "run in up to one process per CPU",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diagnose)

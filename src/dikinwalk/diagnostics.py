@@ -9,6 +9,7 @@ than throw) violations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -312,29 +313,35 @@ def random_polytope_with_interior(
     return Polytope(A=A, b=b), np.zeros(n)
 
 
-def diagnose_corpus(seed: int = 0, trials: int = 1000) -> list[CertReport]:
+def _certify_instance(seed: int, trials: int, i: int) -> tuple[CertReport, ...]:
+    """Instance i of the corpus: SSC for both metric kinds plus symmetry,
+    `trials` trials each, all drawn from the stream default_rng([seed, i])."""
+    rng = np.random.default_rng([seed, i])
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(n, 11))
+    P, x0 = random_polytope_with_interior(n, m, rng)
+    # the Lewis metric's stability bound holds once the barrier part is
+    # scaled up enough; c1=2 certifies cleanly, c1=1 is marginally outside
+    return (
+        certify_ssc(P, x0, SoftThreshold(lam=1.0), trials, rng),
+        certify_ssc(P, x0, RegularizedLewis(lam=1.0, c1=2.0), trials, rng),
+        certify_symmetry(P, x0, trials, rng),
+    )
+
+
+def diagnose_corpus(seed: int = 0, trials: int = 1000, map=map) -> list[CertReport]:
     """Standard randomized corpus: SSC for both metric kinds plus symmetry.
 
     Each of the 20 instances runs max(1, trials // 20) trials per check, so
-    trials is rounded down to a multiple of 20, with a floor of 20.
+    trials is rounded down to a multiple of 20, with a floor of 20. The
+    instances share nothing, so `map` may run them anywhere: it is called as
+    map(instance, range(20)) and must return their results in that order.
     """
     if trials < 1:
         raise DiagnosticsError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    per_instance = max(1, trials // 20)
-    ssc_soft = CertReport(name="ssc[soft]")
-    ssc_lewis = CertReport(name="ssc[lewis]")
-    sym = CertReport(name="symmetry")
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(n, 11))
-        P, x0 = random_polytope_with_interior(n, m, rng)
-        # the Lewis metric's stability bound holds once the barrier part is
-        # scaled up enough; c1=2 certifies cleanly, c1=1 is marginally outside
-        for rep, kind in (
-            (ssc_soft, SoftThreshold(lam=1.0)),
-            (ssc_lewis, RegularizedLewis(lam=1.0, c1=2.0)),
-        ):
-            rep.merge(certify_ssc(P, x0, kind, per_instance, rng))
-        sym.merge(certify_symmetry(P, x0, per_instance, rng))
-    return [ssc_soft, ssc_lewis, sym]
+    instance = functools.partial(_certify_instance, seed, max(1, trials // 20))
+    reports = [CertReport(name) for name in ("ssc[soft]", "ssc[lewis]", "symmetry")]
+    for results in map(instance, range(20)):
+        for report, result in zip(reports, results):
+            report.merge(result)
+    return reports

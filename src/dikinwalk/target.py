@@ -93,6 +93,10 @@ class AffineTransform:
         shift = np.asarray(self.shift, dtype=float).reshape(-1)
         if L.shape != (shift.shape[0], shift.shape[0]):
             raise TargetError("L shape does not match shift")
+        if not np.all(np.isfinite(L)):
+            raise TargetError("L must be finite")
+        if not np.all(np.isfinite(shift)):
+            raise TargetError("shift must be finite")
         # rank is scale-free: det underflows to 0 for a small, well-conditioned L
         if np.linalg.matrix_rank(L) != L.shape[0]:
             raise TargetError("L must be invertible")

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from dikinwalk import cli
+from dikinwalk import cli, diagnostics
 from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
-from dikinwalk.diagnostics import DiagnosticsError
+from dikinwalk.diagnostics import DiagnosticsError, diagnose_corpus
 from dikinwalk.metrics import LewisConvergenceError, MetricError
 from dikinwalk.planner import PlannerError
 from dikinwalk.polytope import PolytopeError, PolytopeFormatError
@@ -783,6 +783,90 @@ def test_diagnose_exit_zero(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "violations=0" in out
+
+
+def test_diagnose_output_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks.clear()
+        assert main(["diagnose", "--trials", "40", "--seed", "3", "--out", "d.txt"]) == 0
+        # one process per CPU where this platform forks at all
+        with cli._one_blas_thread():
+            assert len(forks) == cli._chain_processes(20) - 1 <= cpus - 1
+        outputs.append((tmp_path / "d.txt").read_bytes())
+        _no_child_left()
+    assert outputs[0] == outputs[1]
+    expected = [
+        f"{r.name} trials={r.trials} violations={r.violations} max_slack={r.max_slack:.6f}"
+        for r in diagnose_corpus(3, 40)
+    ]
+    assert _after_manifest(tmp_path / "d.txt") == expected
+
+
+def _failing_instances(errors):
+    """_certify_instance, except that instance i raises errors[i]."""
+    certify_instance = diagnostics._certify_instance
+
+    def instance(seed, trials, i):
+        if i in errors:
+            raise errors[i]
+        return certify_instance(seed, trials, i)
+
+    return instance
+
+
+@pytest.mark.parametrize(
+    "errors",
+    [
+        {3: DiagnosticsError("instance 3 failed"), 8: DiagnosticsError("instance 8 failed")},
+        {3: MetricError("instance 3 overflowed"), 8: DiagnosticsError("instance 8 failed")},
+    ],
+    ids=["diagnostics", "metric"],
+)
+def test_failing_instance_matches_serial(tmp_path, monkeypatch, capsys, errors):
+    # with 4 processes, instance 3 runs in a child and instance 8 here
+    monkeypatch.setattr(diagnostics, "_certify_instance", _failing_instances(errors))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(type(errors[3])) as serial:
+        diagnose_corpus(0, 40)
+    assert main(["diagnose", "--trials", "40", "--out", "d.txt"]) == 4
+    assert capsys.readouterr().err == f"error: {serial.value}\n"
+    assert str(serial.value) == str(errors[3])
+    assert not (tmp_path / "d.txt").exists()
+    assert not list(tmp_path.glob(".dikinwalk-*"))
+    _no_child_left()
+
+
+def test_violation_in_a_child_exits_1(tmp_path, monkeypatch):
+    # instance 5 reports a violation, but only where a child runs it
+    me = os.getpid()
+    certify_instance = diagnostics._certify_instance
+
+    def violated_elsewhere(seed, trials, i):
+        reports = certify_instance(seed, trials, i)
+        if i == 5 and os.getpid() != me:
+            reports[2].record(2.0, False, note="forced")
+        return reports
+
+    monkeypatch.setattr(diagnostics, "_certify_instance", violated_elsewhere)
+    monkeypatch.setattr(cli, "_chain_processes", lambda tasks: min(tasks, 2))
+    monkeypatch.chdir(tmp_path)
+    assert main(["diagnose", "--trials", "40", "--out", "d.txt"]) == 1
+    lines = _after_manifest(tmp_path / "d.txt")
+    assert [ln.split()[2] for ln in lines] == ["violations=0"] * 2 + ["violations=1"]
+    assert lines[2].endswith("max_slack=2.000000")
+    _no_child_left()
 
 
 def test_version():

@@ -134,3 +134,17 @@ def test_transform_rejects_singular_L(L):
     # pytest turns a RuntimeWarning into an error, so none is printed first
     with pytest.raises(TargetError, match="invertible"):
         AffineTransform(L=L, shift=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transform_rejects_non_finite_L(bad):
+    # a NaN used to reach the SVD of matrix_rank and raise numpy's LinAlgError
+    with pytest.raises(TargetError, match="L must be finite"):
+        AffineTransform(L=[[bad, 0.0], [0.0, 1.0]], shift=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transform_rejects_non_finite_shift(bad):
+    # used to be accepted, and every mapped sample came out non-finite
+    with pytest.raises(TargetError, match="shift must be finite"):
+        AffineTransform(L=np.eye(2), shift=[0.0, bad])
