@@ -3,9 +3,14 @@
 Every output file starts with a '#' manifest block recording the resolved
 parameters; stripping comment lines leaves machine-parseable data only.
 Files are written to temp paths and renamed once every file of the command
-is written, so errors never leave partial outputs. Exit codes: 0 ok,
-1 `diagnose` found violations, 2 file/parse error or invalid flag value,
-3 infeasible initial point, 4 numeric failure.
+is written, so errors never leave partial outputs.
+
+Exit codes: 0 ok, 1 `diagnose` found violations, 2 file/parse error or
+invalid flag value, 3 infeasible initial point, 4 numeric failure. Each
+command checks its files and flag values before it computes anything, and a
+failed check exits 2. After that, `main` alone maps the library error that
+escapes: a chain that cannot start (`WalkError`) exits 3, every other
+library error 4.
 
 While a command runs, every loaded OpenBLAS (numpy and scipy each link their
 own) is held to one thread, so output does not depend on the CPU count.
@@ -76,6 +81,16 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
+
+# what the library raises once the inputs are checked; main maps them to 3 or 4
+LIBRARY_ERRORS = (
+    DiagnosticsError,
+    MetricError,
+    PlannerError,
+    PolytopeError,
+    TargetError,
+    WalkError,
+)
 
 # scipy's wheels prefix OpenBLAS's symbols and suffix its 64-bit-integer build
 OPENBLAS_SYMBOLS = (
@@ -177,7 +192,8 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
 
     Every file is written to a temp path in its directory first, and all are
     renamed only after every write has succeeded, so a failing write leaves
-    no file behind. Stdout is written last.
+    no file behind. A path given twice is an error, not a silent overwrite.
+    Stdout is written last.
     """
     staged: list[tuple[str, str]] = []
     to_stdout: list[str] = []
@@ -187,6 +203,8 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
                 if path is None:
                     to_stdout.append(content)
                     continue
+                if os.path.realpath(path) in {os.path.realpath(p) for _, p in staged}:
+                    raise CliError(f"cannot write {path}: given twice", EXIT_PARSE)
                 if os.path.isdir(path):
                     # os.replace would fail on it only after earlier renames
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -274,13 +292,13 @@ def _chain_processes(tasks: int) -> int:
 
 def _in_order(task: Callable, items, positions: Iterable[int]) -> list:
     """(k, task(items[k]), None) per position k, in order, up to the first
-    failing one, which gives (k, None, (exit code, message))."""
+    failing one, which gives (k, None, the library error it raised)."""
     done = []
     for k in positions:
         try:
             done.append((k, task(items[k]), None))
-        except CliError as exc:
-            done.append((k, None, (exc.code, str(exc))))
+        except LIBRARY_ERRORS as exc:
+            done.append((k, None, exc))
             break
     return done
 
@@ -303,13 +321,14 @@ def _child(fd: int, work: Callable[[], list]) -> None:
 def _in_processes(task: Callable, items) -> Iterator[list]:
     """Yield [task(item) for item in items], computed in W processes.
 
-    The tasks are independent, and a task reports failure by raising
-    CliError. Process w (w = 0 is this one, the others are forked) runs the
-    tasks at positions k = w mod W in order and stops at its first failure;
-    this process also runs the tasks of a fork that failed. Children send
-    their results back over a pipe. As in a serial loop, the lowest-position
-    failure is raised. Children are reaped when the block ends, so the caller
-    writes its outputs first; on an error or interrupt they are killed first.
+    The tasks are independent, and a task reports failure by raising a
+    library error. Process w (w = 0 is this one, the others are forked) runs
+    the tasks at positions k = w mod W in order and stops at its first
+    failure; this process also runs the tasks of a fork that failed.
+    Children send their results, or the error itself, back over a pipe. As in
+    a serial loop, the lowest-position failure is raised. Children are reaped
+    when the block ends, so the caller writes its outputs first; on an error
+    or interrupt they are killed first.
     """
     count = len(items)
     workers = _chain_processes(count)
@@ -343,8 +362,7 @@ def _in_processes(task: Callable, items) -> Iterator[list]:
             results += value
         failed = [(k, error) for k, _, error in results if error is not None]
         if failed:
-            code, message = min(failed)[1]
-            raise CliError(message, code)
+            raise min(failed, key=lambda failure: failure[0])[1]
         yield [result for _, result, _ in sorted(results)]  # positions are distinct
     except BaseException:
         for pid, _ in children:
@@ -367,9 +385,10 @@ def _check_ball_flags(args: argparse.Namespace) -> None:
         raise CliError("--r-tilde must be positive and finite", EXIT_PARSE)
     # the warm-start bound squares it
     R = args.outer_radius
-    if R is not None and not (R > 0 and math.isfinite(R * R)):
+    if R is not None and not (R > 0 and 0 < R * R < math.inf):
         raise CliError(
-            "--outer-radius must be positive with a finite square", EXIT_PARSE
+            "--outer-radius must be positive with a finite, nonzero square",
+            EXIT_PARSE,
         )
 
 
@@ -391,31 +410,30 @@ def _resolve_metric(args: argparse.Namespace, beta: float):
         raise CliError(str(exc), EXIT_PARSE) from exc
 
 
-def _build_target(args: argparse.Namespace, P):
+def _load_inputs(args: argparse.Namespace):
+    """(P, gauss) from --polytope and --gaussian, of one dimension."""
+    P = _load_polytope(args.polytope)
     gauss = _load_gaussian(args.gaussian)
     if gauss.n != P.n:
         raise CliError("Gaussian and polytope dimensions differ", EXIT_PARSE)
-    return gauss, quadratic_target(gauss)
+    return P, gauss
 
 
 def _warm_start(args: argparse.Namespace, gauss, target, P, x1):
     """The warm-start ball around x1; a None x1 is the constrained mode, moved
     inside when it lies within --r-tilde of the boundary."""
-    try:
-        modes = solve_modes(gauss, P)
-        if x1 is None:
-            try:
-                x1 = warm_start_center(P, modes.x_dag, args.r_tilde)
-            except PlannerError as exc:
-                raise CliError(f"{exc}; lower --r-tilde", EXIT_NUMERIC) from exc
-        return warm_start_ball(target, P, x1, args.r_tilde, modes, args.outer_radius)
-    except (PlannerError, PolytopeError, TargetError) as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from exc
+    modes = solve_modes(gauss, P)
+    if x1 is None:
+        try:
+            x1 = warm_start_center(P, modes.x_dag, args.r_tilde)
+        except PlannerError as exc:
+            raise PlannerError(f"{exc}; lower --r-tilde") from exc
+    return warm_start_ball(target, P, x1, args.r_tilde, modes, args.outer_radius)
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    P = _load_polytope(args.polytope)
-    gauss, target = _build_target(args, P)
+    P, gauss = _load_inputs(args)
+    target = quadratic_target(gauss)
     metric = _resolve_metric(args, target.beta)
     try:
         config = WalkConfig(
@@ -450,15 +468,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     manifest = _manifest(args)
 
     def chain_text(i: int) -> str:
-        chain = dataclasses.replace(config, seed=args.seed + i)
-        try:
-            batch = run(init, target, P, chain)
-        except NonFiniteDensityError as exc:
-            raise CliError(str(exc), EXIT_NUMERIC) from exc
-        except WalkError as exc:
-            raise CliError(str(exc), EXIT_INFEASIBLE) from exc
-        except MetricError as exc:
-            raise CliError(str(exc), EXIT_NUMERIC) from exc
+        batch = run(init, target, P, dataclasses.replace(config, seed=args.seed + i))
         return manifest + format_csv(batch, header=args.header)
 
     paths = [args.out] * args.chains
@@ -474,12 +484,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_precondition(args: argparse.Namespace) -> int:
-    P = _load_polytope(args.polytope)
-    gauss = _load_gaussian(args.gaussian)
-    try:
-        P_new, transform = precondition_gaussian(gauss, P)
-    except (TargetError, PolytopeError) as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from exc
+    P, gauss = _load_inputs(args)
+    P_new, transform = precondition_gaussian(gauss, P)
     manifest = _manifest(args)
     _write_outputs(
         [
@@ -500,8 +506,8 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 def cmd_warmstart(args: argparse.Namespace) -> int:
     _check_ball_flags(args)
-    P = _load_polytope(args.polytope)
-    gauss, target = _build_target(args, P)
+    P, gauss = _load_inputs(args)
+    target = quadratic_target(gauss)
     x1 = None if args.x1 is None else np.array(args.x1, dtype=float)
     if x1 is not None and (x1.shape[0] != P.n or not np.all(np.isfinite(x1))):
         raise CliError("--x1 needs n finite values", EXIT_PARSE)
@@ -547,9 +553,9 @@ def cmd_budget(args: argparse.Namespace) -> int:
             raise CliError(
                 "--beyond-worst-case needs --polytope and --gaussian", EXIT_PARSE
             )
-        P = _load_polytope(args.polytope)
-        gauss, target = _build_target(args, P)
-        modes = solve_modes(gauss, P)  # an empty polytope exits 4 through main
+        P, gauss = _load_inputs(args)
+        target = quadratic_target(gauss)
+        modes = solve_modes(gauss, P)
         try:
             res = beyond_worst_case_budget(
                 P, target, modes, args.warmness, args.eps, args.C
@@ -570,8 +576,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.n_samples < 1:
         raise CliError("--n-samples must be >= 1", EXIT_PARSE)
     _check_seed(args)
-    P = _load_polytope(args.polytope)
-    gauss = _load_gaussian(args.gaussian)
+    P, gauss = _load_inputs(args)
     rng = np.random.default_rng(args.seed)
     result = rejection_oracle(gauss, P, args.n_samples, rng)
     lines = format_rows(result.samples)
@@ -584,20 +589,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1", EXIT_PARSE)
     _check_seed(args)
-
-    def in_processes(instance: Callable, indices) -> list:
-        # instance i draws from its own stream [seed, i] whichever process
-        # runs it, and fails with exit 4 there as here
-        def task(i: int):
-            try:
-                return instance(i)
-            except (DiagnosticsError, MetricError) as exc:
-                raise CliError(str(exc), EXIT_NUMERIC) from exc
-
-        return children.enter_context(_in_processes(task, indices))
-
+    # instance i draws from its own stream [seed, i] whichever process runs it;
+    # the children are reaped once the report is written
     with contextlib.ExitStack() as children:
-        reports = diagnose_corpus(args.seed, args.trials, map=in_processes)
+        reports = diagnose_corpus(
+            args.seed,
+            args.trials,
+            map=lambda task, items: children.enter_context(_in_processes(task, items)),
+        )
         lines = [
             f"{rep.name} trials={rep.trials} violations={rep.violations} "
             f"max_slack={rep.max_slack:.6f}"
@@ -718,14 +717,12 @@ def main(argv=None) -> int:
             np.errstate(over="ignore", invalid="ignore", divide="ignore"),
         ):
             return args.func(args)
-    except CliError as exc:
+    except (CliError, *LIBRARY_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (PolytopeError, TargetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MetricError, PlannerError, DiagnosticsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CliError):
+            return exc.code
+        if isinstance(exc, WalkError) and not isinstance(exc, NonFiniteDensityError):
+            return EXIT_INFEASIBLE  # the chain cannot start
         return EXIT_NUMERIC
 
 

@@ -45,8 +45,8 @@ class SoftThreshold:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise MetricError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise MetricError("lambda must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,11 @@ class RegularizedLewis:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise MetricError("lambda must be positive")
-        if not self.c1 > 0 or self.c2 < 0:
-            raise MetricError("need c1 > 0 and c2 >= 0")
+        if not 0 < self.lam < math.inf:
+            raise MetricError("lambda must be positive and finite")
+        # written so that a NaN fails them too
+        if not (0 < self.c1 < math.inf and 0 <= self.c2 < math.inf):
+            raise MetricError("need finite c1 > 0 and c2 >= 0")
         if self.q is not None and (self.q < 4 or self.q % 2 != 0):
             raise MetricError("q must be an even integer >= 4")
         if not self.tol > 0:

@@ -173,7 +173,7 @@ def warm_start_center(P: Polytope, x_dag: np.ndarray, r_tilde: float) -> np.ndar
     """
     if not 0 < r_tilde < math.inf:
         raise PlannerError("r_tilde must be positive and finite")
-    if P.m == 0 or np.min(_margins(P, x_dag)) >= r_tilde - 1e-9:
+    if P.m == 0 or np.min(_margins(P, x_dag)) >= r_tilde * (1 - 1e-9):
         return x_dag
     norms = np.linalg.norm(P.A, axis=1)
     try:
@@ -205,7 +205,7 @@ def warm_start_ball(
     if target.beta <= 0:
         raise PlannerError("beta must be positive")
     # written so that a NaN margin fails it too
-    if P.m > 0 and not np.min(_margins(P, x1)) >= r_tilde - 1e-9:
+    if P.m > 0 and not np.min(_margins(P, x1)) >= r_tilde * (1 - 1e-9):
         raise PlannerError("B(x1, r_tilde) is not contained in the polytope")
     beta = target.beta
     mode_gap = float(np.linalg.norm(modes.x_dag - modes.x_star))

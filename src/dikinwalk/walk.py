@@ -50,8 +50,9 @@ class WalkConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if not 0 < self.r < math.inf:
-            raise WalkError("step size r must be positive and finite")
+        # the MH ratio divides by r^2, which underflows to 0 below ~1e-162
+        if not (0 < self.r < math.inf and self.r * self.r > 0):
+            raise WalkError("step size r must be positive and finite, with r^2 > 0")
         if self.thin < 1:
             raise WalkError("thin must be >= 1")
         if self.steps < 0 or self.burn_in < 0:

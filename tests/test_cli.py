@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import pickle
@@ -71,6 +72,30 @@ def test_non_finite_gaussian_exits_2(files, gaussian, command):
         "oracle": ["--n-samples", "5"],
     }[command]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["sample", "precondition", "warmstart", "budget", "oracle"]
+)
+def test_gaussian_of_another_dimension_exits_2(files, command, capsys):
+    tmp, poly, _ = files
+    gauss = tmp / "std3.txt"
+    gauss.write_text("3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    argv = [command, "--polytope", poly, "--gaussian", str(gauss)]
+    argv += {
+        "sample": ["--lambda", "1", "--steps", "5", "--init-point", "1", "1"],
+        "precondition": ["--out-polytope", str(tmp / "p.txt"),
+                         "--out-transform", str(tmp / "t.txt")],
+        "warmstart": ["--r-tilde", "0.1", "--outer-radius", "10"],
+        "budget": ["--regime", "strong", "--m", "2", "--n", "2", "--kappa", "1",
+                   "--warmness", "2", "--eps", "0.1", "--C", "1",
+                   "--beyond-worst-case"],
+        "oracle": ["--n-samples", "5"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimensions differ" in err
+    assert not list(tmp.glob("[pt].txt"))
 
 
 def test_sample_row_count_and_header(files):
@@ -166,7 +191,9 @@ def test_sample_nonfinite_density_exit_codes(files, monkeypatch):
 @pytest.mark.parametrize(
     "flags",
     [["--thin", "0"], ["--step-size", "-1"], ["--steps", "-1"], ["--chains", "0"],
-     ["--seed", "-1"], ["--step-size", "inf"]],
+     ["--seed", "-1"], ["--step-size", "inf"],
+     # r^2 underflows to 0, and the MH ratio divides by it
+     ["--step-size", "1e-320"]],
 )
 def test_sample_bad_walk_config_exits_2(files, flags):
     tmp, poly, gauss = files
@@ -183,7 +210,10 @@ def test_sample_bad_walk_config_exits_2(files, flags):
     "flags",
     [["--lambda", "-1"], ["--lambda", "1", "--metric", "lewis", "--q", "3"],
      ["--lambda", "1", "--metric", "lewis", "--c1", "0"],
-     ["--lambda", "1", "--metric", "lewis", "--lewis-tol", "-1"]],
+     ["--lambda", "1", "--metric", "lewis", "--lewis-tol", "-1"],
+     ["--lambda", "inf"],
+     *(["--lambda", "1", "--metric", "lewis", flag, value]
+       for flag, value in (("--c1", "inf"), ("--c2", "inf"), ("--c2", "nan")))],
 )
 def test_sample_bad_metric_flags_exit_2(files, flags):
     tmp, poly, gauss = files
@@ -278,6 +308,11 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
         # the warm-start bound squares the outer radius
         ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--r-tilde", "0.1",
          "--outer-radius", "1e200"],
+        # ... and the square underflows to 0
+        ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--r-tilde", "0.1",
+         "--outer-radius", "1e-320"],
+        ["sample", "--polytope", "{B}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-warmstart", "--outer-radius", "1e-320"],
     ],
 )
 def test_bad_flag_values_exit_2(files, argv):
@@ -285,6 +320,73 @@ def test_bad_flag_values_exit_2(files, argv):
     box = tmp / "box.txt"  # (-1, 1)^2, so the constrained mode 0 is interior
     box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
     assert main([a.format(P=poly, B=box, G=gauss) for a in argv]) == 2
+
+
+# argv that succeeds as it stands; the sweep appends one numeric flag to it
+SWEEP_BASES = {
+    "sample-soft": ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+                    "--steps", "5", "--init-point", "1", "1"],
+    "sample-lewis": ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+                     "--metric", "lewis", "--steps", "5", "--init-warmstart",
+                     "--outer-radius", "10"],
+    "warmstart": ["warmstart", "--polytope", "{P}", "--gaussian", "{G}",
+                  "--r-tilde", "0.1"],
+    "budget-strong": ["budget", "--regime", "strong", "--m", "2", "--n", "2",
+                      "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
+                      "--metric", "lewis", "--beyond-worst-case",
+                      "--polytope", "{P}", "--gaussian", "{G}"],
+    "budget-weak": ["budget", "--regime", "weak", "--m", "2", "--n", "2",
+                    "--beta-eta", "1", "--warmness", "2", "--eps", "0.1", "--C", "1"],
+    "oracle": ["oracle", "--polytope", "{P}", "--gaussian", "{G}", "--n-samples", "5"],
+    "diagnose": ["diagnose", "--trials", "20"],
+}
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e-10", "3")
+
+
+def _sweep_cases():
+    """Each base argv with each of its int or float options set to each value
+    that the option's type parses (argparse rejects the others itself)."""
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for base, argv in SWEEP_BASES.items():
+        for action in commands[argv[0]]._actions:
+            if action.type not in (int, float):
+                continue
+            flag = action.option_strings[0]
+            for value in SWEEP_VALUES:
+                try:
+                    action.type(value)
+                except ValueError:
+                    continue
+                if action.nargs != "+":
+                    tokens = [f"{flag}={value}"]  # "-inf" alone would read as a flag
+                elif value != "-inf":
+                    tokens = [flag, value, value]  # n = 2
+                else:
+                    continue
+                yield pytest.param([*argv, *tokens], id=f"{base}{flag}={value}")
+
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sweep")
+    (tmp / "orthant2.txt").write_text(ORTHANT2)
+    (tmp / "std2.txt").write_text(STD2)
+    return str(tmp / "orthant2.txt"), str(tmp / "std2.txt")
+
+
+@pytest.mark.parametrize("argv", _sweep_cases())
+def test_numeric_flag_values_exit_with_a_documented_code(sweep_files, argv, capsys):
+    # no traceback, whatever the value: an exit code of the documented ones
+    # and at most one line on stderr
+    poly, gauss = sweep_files
+    code = main([a.format(P=poly, G=gauss) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3, 4)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    _no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -325,8 +427,13 @@ SAMPLE_2_CHAINS = [
         ([*SAMPLE_2_CHAINS, "--out", "missing/s.csv"], None, "missing/s_0.csv"),
         # renaming onto a directory fails; no other file may be renamed first
         ([*SAMPLE_2_CHAINS, "--out", "s.csv"], "s_1.csv", "s_0.csv"),
+        # the transform would silently replace the polytope
+        *((["precondition", "--polytope", "{P}", "--gaussian", "{G}",
+            "--out-polytope", "same.txt", "--out-transform", transform],
+           None, "same.txt") for transform in ("same.txt", "./same.txt")),
     ],
-    ids=["precondition", "sample", "sample-onto-directory"],
+    ids=["precondition", "sample", "sample-onto-directory", "one-path-twice",
+         "one-file-twice"],
 )
 def test_multi_file_output_all_or_nothing(files, monkeypatch, argv, directory, kept):
     tmp, poly, gauss = files
@@ -643,6 +750,40 @@ def test_warm_start_without_room_names_r_tilde(tmp_path, command, capsys):
         argv += ["--lambda", "1", "--steps", "5", "--init-warmstart"]
     assert main(argv) == 4
     assert "--r-tilde" in capsys.readouterr().err
+
+
+def test_warm_start_below_the_old_absolute_slack(files, capsys):
+    # r_tilde = 1e-10 is below the margin slack of 1e-9 that the warm start once
+    # allowed, so the orthant's corner was taken as the center and the ball
+    # collapsed; the center is now 1e-10 inside, and the ball, in the cone
+    # from the corner, has r0 = r1 / (sqrt(2) + 1) whatever r_tilde
+    _, poly, gauss = files
+    code = main([
+        "warmstart", "--polytope", poly, "--gaussian", gauss,
+        "--r-tilde", "1e-10", "--outer-radius", "10",
+    ])
+    assert code == 0
+    kv = dict(
+        ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
+        if "=" in ln and not ln.startswith("#")
+    )
+    assert float(kv["r1"]) == 1.0
+    assert float(kv["r0"]) == pytest.approx(math.sqrt(2) - 1)
+
+
+def test_sample_from_a_subnormal_r_tilde_exits_4(files, capsys):
+    # the corner was once taken as the center of a ball of radius 1e-320, and
+    # the chain failed to start (exit 3) from a point on the boundary
+    tmp, poly, gauss = files
+    out = tmp / "never.csv"
+    code = main([
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+        "--steps", "5", "--init-warmstart", "--r-tilde", "1e-320",
+        "--outer-radius", "10", "--out", str(out),
+    ])
+    assert code == 4
+    assert "found no ball of radius r_tilde" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["warmstart", "budget"])
