@@ -229,7 +229,8 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
 def _openblas() -> tuple:
     """(get_num_threads, set_num_threads) of every OpenBLAS loaded in this process.
 
-    Both numpy's and scipy's are loaded once this module is imported. Empty
+    Both numpy's and scipy's (linked by the LAPACK extension that
+    dikinwalk._lapack loads) are loaded once this module is imported. Empty
     where /proc/self/maps does not exist.
     """
     try:
@@ -446,6 +447,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             seed=args.seed,
             thin=args.thin,
         )
+        config.check_dimension(P.n)
     except WalkError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     if args.chains < 1:

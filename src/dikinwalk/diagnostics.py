@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
+from dikinwalk._lapack import dtrtrs
 from dikinwalk.metrics import (
     MetricEval,
     MetricKind,

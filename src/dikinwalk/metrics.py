@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from dikinwalk._lapack import dpotrf, dpotrs
 from dikinwalk.polytope import Polytope, slack
 
 

@@ -108,8 +108,8 @@ def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     Problems", 1974, ch. 23): u >= 0 minimizing |E u - e| for E = [A^T; h^T],
     h = b - A y and e = (0, ..., 0, 1) leaves r = E u - e, x = y + r[:n] / -r[n].
     """
-    # imported here: scipy.optimize takes ~0.3 s to import, and only a mode
-    # outside K needs it
+    # imported here: scipy.optimize, with the scipy.linalg it imports, takes
+    # ~0.5 s and ~44 MB to import, and only a mode outside K needs it
     from scipy.optimize import nnls
 
     n = A.shape[1]
@@ -212,6 +212,21 @@ def warm_start_ball(
     r1 = 1.0 / math.sqrt(beta)
     if mode_gap > 0:
         r1 = min(r1, 1.0 / (2.0 * beta * mode_gap))
+    estimated = outer_radius is None
+    R_tilde = _estimate_outer_radius(P, x1) if estimated else float(outer_radius)
+    try:
+        second = 0.5 * math.log(beta * R_tilde**2)
+        if mode_gap > 0:
+            second = max(second, math.log(2.0 * beta * R_tilde * mode_gap))
+        logM = 1.0 + P.n * math.log(3.0 * R_tilde / r_tilde) + P.n * second
+    except (OverflowError, ValueError):  # R_tilde^2 overflows, or beta R_tilde^2 is 0
+        logM = math.nan
+    # 3 R_tilde / r_tilde overflows to inf, which log accepts, for a subnormal r_tilde
+    if not math.isfinite(logM):
+        raise PlannerError(
+            f"warmness bound logM is out of range at outer radius {R_tilde:g}"
+            f" and r_tilde {r_tilde:g}"
+        )
     d1 = float(np.linalg.norm(x1 - modes.x_dag))
     r0 = r1 * r_tilde / (d1 + r_tilde)
     x0 = modes.x_dag + (r1 / (r_tilde + d1)) * (x1 - modes.x_dag)
@@ -221,17 +236,6 @@ def warm_start_ball(
         r0 = min(r0, float(np.min(_margins(P, x0))))
     if r0 <= 0:
         raise PlannerError("warm-start ball collapsed (x0 too close to boundary)")
-    estimated = outer_radius is None
-    R_tilde = _estimate_outer_radius(P, x1) if estimated else float(outer_radius)
-    try:
-        second = 0.5 * math.log(beta * R_tilde**2)
-        if mode_gap > 0:
-            second = max(second, math.log(2.0 * beta * R_tilde * mode_gap))
-        logM = 1.0 + P.n * math.log(3.0 * R_tilde / r_tilde) + P.n * second
-    except (OverflowError, ValueError):  # R_tilde^2 overflows, or beta R_tilde^2 is 0
-        raise PlannerError(
-            f"warmness bound logM is out of range at outer radius {R_tilde:g}"
-        ) from None
     ball = WarmStartBall(
         x0=x0, r0=r0, r1=r1, logM=logM, outer_radius_estimated=estimated
     )

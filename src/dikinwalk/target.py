@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 
+from dikinwalk._lapack import dpotrf, dpotrs
 from dikinwalk.polytope import Polytope
 
 
@@ -112,7 +111,11 @@ class AffineTransform:
 
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
     """f(x) = (1/2)(x - mu)^T Sigma^{-1} (x - mu)."""
-    c, _ = scipy.linalg.cho_factor(G.Sigma, lower=True)
+    # LAPACK potrf as cho_factor calls it; the strict upper triangle of c is
+    # left as Sigma's, and potrs reads only the lower one
+    c, info = dpotrf(G.Sigma, lower=1, clean=0)
+    if info > 0:
+        raise TargetError("Sigma is not positive definite")
     mu = G.mu
     evals = np.linalg.eigvalsh(G.Sigma)
     alpha = 1.0 / float(evals.max())

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
+from dikinwalk._lapack import dtrtrs
 from dikinwalk.metrics import MetricEval, MetricKind, evaluate_metric
 from dikinwalk.polytope import Polytope, contains
 from dikinwalk.target import LogConcaveTarget
@@ -57,6 +57,16 @@ class WalkConfig:
             raise WalkError("thin must be >= 1")
         if self.steps < 0 or self.burn_in < 0:
             raise WalkError("steps and burn_in must be nonnegative")
+
+    def check_dimension(self, n: int) -> None:
+        """Raise WalkError unless the MH ratio's n / (2 r^2) is finite in R^n.
+
+        It overflows for r below ~5e-155 sqrt(n), and inf * 0 is NaN for a
+        proposal equal to x, which the MH test would count as a rejection.
+        """
+        r = float(self.r)
+        if not math.isfinite(n / (2.0 * r * r)):
+            raise WalkError(f"step size r is too small for dimension {n}")
 
 
 @dataclass
@@ -197,6 +207,7 @@ def run(
     point, so it is never empty. Fully deterministic given config.seed;
     stats cover the recorded phase only.
     """
+    config.check_dimension(P.n)
     rng = np.random.default_rng(config.seed)
     x_init = x0(rng) if callable(x0) else np.asarray(x0, dtype=float).reshape(-1)
     if not contains(P, x_init):

@@ -193,7 +193,9 @@ def test_sample_nonfinite_density_exit_codes(files, monkeypatch):
     [["--thin", "0"], ["--step-size", "-1"], ["--steps", "-1"], ["--chains", "0"],
      ["--seed", "-1"], ["--step-size", "inf"],
      # r^2 underflows to 0, and the MH ratio divides by it
-     ["--step-size", "1e-320"]],
+     ["--step-size", "1e-320"],
+     # n / (2 r^2) overflows, and inf * 0 is NaN
+     ["--step-size", "1e-160"]],
 )
 def test_sample_bad_walk_config_exits_2(files, flags):
     tmp, poly, gauss = files
@@ -204,6 +206,19 @@ def test_sample_bad_walk_config_exits_2(files, flags):
     ])
     assert code == 2
     assert not out.exists()
+
+
+def test_sample_at_a_tiny_step_size_accepts(files, capsys):
+    # n / (2 r^2) is finite at r = 1e-140: proposals equal to x are accepted
+    _, poly, gauss = files
+    code = main([
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+        "--steps", "200", "--init-point", "1", "1", "--step-size", "1e-140",
+    ])
+    assert code == 0
+    stats = capsys.readouterr().out
+    assert " rejected_mh=0" in stats
+    assert " accepted=0" not in stats
 
 
 @pytest.mark.parametrize(
@@ -786,6 +801,21 @@ def test_sample_from_a_subnormal_r_tilde_exits_4(files, capsys):
     assert not out.exists()
 
 
+def test_warm_start_bound_of_a_subnormal_r_tilde_exits_4(files, capsys):
+    # 3 R / r_tilde overflows, so logM was written as inf with exit 0
+    tmp, poly, gauss = files
+    out = tmp / "never.txt"
+    code = main([
+        "warmstart", "--polytope", poly, "--gaussian", gauss, "--x1", "1", "1",
+        "--r-tilde", "1e-320", "--outer-radius", "10", "--out", str(out),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: warmness bound logM is out of range")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["warmstart", "budget"])
 def test_modes_of_an_empty_polytope_exit_4(tmp_path, command, capsys):
     poly = tmp_path / "empty.txt"
@@ -803,23 +833,35 @@ def test_modes_of_an_empty_polytope_exit_4(tmp_path, command, capsys):
     assert "polytope is empty" in capsys.readouterr().err
 
 
-def test_interior_mode_skips_the_scipy_optimize_import(files):
-    # only a mode outside K needs scipy.optimize, ~0.3 s of import time
+@pytest.mark.parametrize(
+    "argv",
+    [["warmstart", "--r-tilde", "0.5", "--outer-radius", "10"],
+     ["sample", "--lambda", "1", "--steps", "20", "--init-point", "0.5", "0.5",
+      "--chains", "2"],
+     ["diagnose", "--trials", "20"]],
+    ids=["warmstart", "sample", "diagnose"],
+)
+def test_commands_skip_the_scipy_linalg_and_optimize_imports(files, argv):
+    # importing scipy.linalg costs ~0.25 s and ~23 MB per process, and
+    # scipy.optimize (~0.5 s and ~44 MB with it), which only a mode outside K
+    # needs, imports it too
     tmp, _, gauss = files
     box = tmp / "box.txt"
     box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+    if argv[0] != "diagnose":
+        argv = [*argv, "--polytope", str(box), "--gaussian", gauss]
+    argv = [*argv, "--out", str(tmp / "out.txt")]
     code = (
         "import sys\n"
         "from dikinwalk.cli import main\n"
-        f"assert main(['warmstart', '--polytope', {str(box)!r}, '--gaussian', "
-        f"{gauss!r}, '--r-tilde', '0.5', '--outer-radius', '10']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_budget_worked_example(files, capsys):

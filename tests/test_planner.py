@@ -191,6 +191,10 @@ def test_warm_start_rejects_non_finite_inputs():
     for outer_radius in (1e200, 1e-200):
         with pytest.raises(PlannerError, match="logM is out of range"):
             warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius)
+    # 3 R_tilde / r_tilde overflows to inf, and log(inf) does not raise; at
+    # x1 = x_dag this is caught before x0's r1 / r_tilde * 0 turns NaN
+    with pytest.raises(PlannerError, match="logM is out of range"):
+        warm_start_ball(target, P, np.zeros(2), 1e-320, modes, 10.0)
 
 
 def test_warm_ball_random_instances():

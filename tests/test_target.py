@@ -36,6 +36,28 @@ def test_f_at_mean_is_zero():
     assert t.f(mu) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_f_matches_cho_solve_bit_for_bit():
+    # potrf is called as cho_factor calls it, so f keeps every bit
+    import scipy.linalg
+
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((5, 5))
+    G = GaussianTarget(mu=rng.standard_normal(5), Sigma=B @ B.T + np.eye(5))
+    t = quadratic_target(G)
+    cho = scipy.linalg.cho_factor(G.Sigma, lower=True)
+    for x in rng.standard_normal((10, 5)):
+        d = x - G.mu
+        assert t.f(x) == 0.5 * float(d @ scipy.linalg.cho_solve(cho, d))
+
+
+def test_quadratic_target_rejects_a_sigma_potrf_cannot_factor():
+    G = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
+    # GaussianTarget checks Sigma with numpy's Cholesky; bypass it
+    object.__setattr__(G, "Sigma", np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(TargetError, match="not positive definite"):
+        quadratic_target(G)
+
+
 def test_kappa_needs_strong_convexity():
     t = LogConcaveTarget(f=lambda x: 0.0, alpha=0.0, beta=1.0)
     with pytest.raises(RegimeError):

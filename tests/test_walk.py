@@ -316,6 +316,15 @@ def test_config_validation():
         WalkConfig(metric=metric, steps=-1)
 
 
+def test_run_rejects_a_step_size_whose_mh_scale_overflows():
+    # n / (2 r^2) is inf at r = 1e-160, and inf * 0 is NaN for a proposal
+    # equal to x: every such step was counted as an MH rejection
+    P = make_orthant(2)
+    cfg = WalkConfig(metric=SoftThreshold(lam=1.0), r=1e-160, steps=1)
+    with pytest.raises(WalkError, match="too small for dimension 2"):
+        run(np.array([1.0, 1.0]), FLAT, P, cfg)
+
+
 def test_format_csv():
     batch = run(
         np.array([0.5, 0.5]),
