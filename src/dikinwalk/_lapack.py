@@ -48,4 +48,5 @@ def _load_flapack():
 _flapack = _load_flapack()
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
+dtrtri = _flapack.dtrtri
 dtrtrs = _flapack.dtrtrs

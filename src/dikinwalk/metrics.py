@@ -8,7 +8,7 @@ from typing import Union
 
 import numpy as np
 
-from dikinwalk._lapack import dpotrf, dpotrs
+from dikinwalk._lapack import dpotrf, dpotrs, dtrtri
 from dikinwalk.polytope import Polytope, slack
 
 
@@ -67,8 +67,9 @@ class RegularizedLewis:
             raise MetricError("need finite c1 > 0 and c2 >= 0")
         if self.q is not None and (self.q < 4 or self.q % 2 != 0):
             raise MetricError("q must be an even integer >= 4")
-        if not self.tol > 0:
-            raise MetricError("need tol > 0")
+        # tol >= 1 would accept the start w = n/m, which is not a fixed point
+        if not 0 < self.tol < 1:
+            raise MetricError("need 0 < tol < 1")
 
 
 MetricKind = Union[SoftThreshold, RegularizedLewis]
@@ -121,31 +122,62 @@ def _diagonal(G: np.ndarray) -> np.ndarray:
     return G.ravel()[:: G.shape[0] + 1]
 
 
+def _newton_side(m: int, n: int) -> bool:
+    """Whether lewis_weights takes Newton steps at shape (m, n), else Chebyshev.
+
+    A Newton step costs an m x m Gram and Cholesky, O(m^2 n + m^3), and
+    takes ~4-8 steps; a Chebyshev step costs O(m n^2) and takes ~13-36. Timed
+    at one BLAS thread, Newton is the faster side up to m ~ 3n at every n
+    tried, and up to m ~ 110 whatever n (at m = 128 OpenBLAS's m x m work
+    jumps ~2x). The rule reads the shape alone, so the weights stay a
+    deterministic function of Ax.
+    """
+    return m <= 3 * n or m <= 96
+
+
 def lewis_weights(
     Ax: np.ndarray, q: int, tol: float = 1e-8, max_iter: int = 1000
 ) -> LewisWeights:
-    """Solve the weight fixed point w_i = tau_i(w) by a Chebyshev semi-iteration.
+    """Solve the weight fixed point w_i = tau_i(w) for the Lewis weights.
 
     tau_i(w) = w_i^{c_q} a_i^T (Ax^T W^{c_q} Ax)^{-1} a_i is the leverage score
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
     first iterate with max_i |w_i - tau_i| / w_i <= tol.
 
-    At the fixed point the Jacobian of u -> log tau(u) is c_q (I - M), with
-    M = diag(tau)^{-1} (P o P) and P the projection onto the columns of
-    W^{c_q / 2} Ax. P o P is symmetric PSD (Schur product theorem) with row
-    sums diag(P) = tau, so M is row-stochastic and similar to the PSD
-    diag(tau)^{-1/2} (P o P) diag(tau)^{-1/2}: its spectrum lies in [0, 1] and
-    the Jacobian's in [0, c_q]. The relaxed step u + gamma (log tau(u) - u)
-    with gamma = 2 / (2 - c_q) maps that interval onto [-sigma, sigma],
-    sigma = c_q / (2 - c_q), the case of Golub & Varga's Chebyshev
-    semi-iteration: u_1 = u_0 + gamma (log tau(u_0) - u_0), then
+    Leverage scores. Each iteration factors the weighted Gram
+    Ax^T W^{c_q} Ax = L L^T, inverts L explicitly and forms Z = Ax L^{-T}, so
+    K = Z Z^T = Ax (Ax^T W^{c_q} Ax)^{-1} Ax^T and tau_i = w_i^{c_q} |z_i|^2.
+
+    Jacobian. With P = W^{c_q / 2} K W^{c_q / 2}, the projection onto the
+    columns of W^{c_q / 2} Ax, d log tau_i / d u_j = c_q (delta_ij - P_ij^2 /
+    tau_i) at every u, i.e. the Jacobian is c_q (I - M) with
+    M = diag(tau)^{-1} (P o P). P o P is symmetric PSD (Schur product
+    theorem) with row sums diag(P) = tau, so M is row-stochastic and similar
+    to the PSD diag(tau)^{-1/2} (P o P) diag(tau)^{-1/2}: its spectrum lies in
+    [0, 1] and the Jacobian's in [0, c_q].
+
+    Newton update (small m, see _newton_side). The root of
+    F(u) = log tau(u) - u has F'(u) = c_q (I - M) - I, so the Newton step
+    u <- u + delta solves ((1 - c_q) I + c_q M) delta = F(u); multiplied by
+    diag(tau) it is the symmetric positive definite m x m system
+    ((1 - c_q) diag(tau) + c_q (P o P)) delta = tau o (log tau - u),
+    P o P = (w^{c_q} w^{c_q T}) o K o K, solved by Cholesky. After diagonal
+    scaling its spectrum lies in [1 - c_q, 1], so the factorization is
+    accurate; it fails only when a leverage score underflows to 0. Near the
+    fixed point the error squares each step.
+
+    Chebyshev update (large m). The relaxed step u + gamma (log tau(u) - u)
+    with gamma = 2 / (2 - c_q) maps the Jacobian's interval onto
+    [-sigma, sigma], sigma = c_q / (2 - c_q), the case of Golub & Varga's
+    Chebyshev semi-iteration: u_1 = u_0 + gamma (log tau(u_0) - u_0), then
     u_{k+1} = u_{k-1} + omega_{k+1} (u_k + gamma (log tau(u_k) - u_k) - u_{k-1})
     with omega_2 = 1 / (1 - sigma^2 / 2), omega_{k+1} = 1 / (1 - sigma^2 omega_k / 4).
     Its rate sigma / (1 + sqrt(1 - sigma^2)) beats the 1 - 1/q of the damped
     step w <- sqrt(w tau) (gamma = 1/2), e.g. 0.52 against 0.95 at q = 20.
-    Every constant follows from q; the weights are a deterministic function
-    of Ax.
+
+    Every constant follows from q and the update from the shape; the weights
+    are a deterministic function of Ax.
     """
     Ax = np.asarray(Ax, dtype=float)
     m, n = Ax.shape
@@ -154,13 +186,13 @@ def lewis_weights(
     if q < 4 or q % 2 != 0:
         raise MetricError("q must be an even integer >= 4")
     cq = 1.0 - 2.0 / q
+    newton = _newton_side(m, n)
     gamma = 2.0 / (2.0 - cq)
     sigma2 = (cq / (2.0 - cq)) ** 2
-    AxT = Ax.T  # F-contiguous view: dpotrs takes it without a transposing copy
     # checked once: each weighted Gram below differs from this one by the
     # row factors w**cq, and one that still overflows fails as a MetricError
     with np.errstate(over="ignore", invalid="ignore"):
-        gram_finite = np.isfinite(AxT @ Ax).all()
+        gram_finite = np.isfinite(Ax.T @ Ax).all()
     if not gram_finite:
         raise MetricError("non-finite row-scaled Gram matrix")
     w = np.full(m, n / m)
@@ -173,24 +205,42 @@ def lewis_weights(
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             wc = w**cq
-            Mw = AxT @ (wc[:, None] * Ax)
-            # scipy's LAPACK called directly, as cho_factor / cho_solve call it:
-            # numpy's linalg links a different build whose low bits differ, and
-            # these weights feed G, so same-seed output depends on every bit
-            c, info = dpotrf(Mw, lower=1, clean=0)
+            # scipy's LAPACK called directly: numpy's linalg links a different
+            # build whose low bits differ, and these weights feed G, so
+            # same-seed output depends on every bit
+            L, info = dpotrf(Ax.T @ (wc[:, None] * Ax), lower=1, clean=1)
             if info > 0:
                 raise MetricError("rank-deficient weighted Gram matrix")
-            B = dpotrs(c, AxT, lower=1)[0]  # n x m
-            quad = np.einsum("ij,ji->i", Ax, B)
-            tau = wc * quad
-            residual = float(np.max(np.abs(w - tau) / w))
+            Linv, info = dtrtri(L, lower=1, overwrite_c=1)
+            if info > 0:
+                raise MetricError("rank-deficient weighted Gram matrix")
+            # an explicit inverse and one gemm: OpenBLAS's triangular solve
+            # against the m rows runs far below gemm's rate. clean=1 above
+            # zeroes L's upper triangle, which dtrtri keeps and the gemm reads
+            Z = Ax @ Linv.T
+            tau = wc * np.einsum("ij,ij->i", Z, Z)
+            residual = float((np.abs(w - tau) / w).max())
             if residual <= tol:
                 return LewisWeights(w=w, residual=residual, iterations=it)
             if not math.isfinite(residual):
                 raise MetricError("non-finite Lewis weights")
-            step = u + gamma * (np.log(tau) - u)
-            u, u_prev = u_prev + omega * (step - u_prev), u
-            omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
+            if newton:
+                # H = (1 - cq) diag(tau) + cq (P o P), the docstring's system
+                K = Z @ Z.T
+                H = np.multiply.outer(cq * wc, wc)
+                H *= K
+                H *= K
+                _diagonal(H)[:] += (1.0 - cq) * tau
+                H, info = dpotrf(H, lower=1, clean=0)
+                if info > 0:
+                    # only a leverage score that underflowed to 0 leaves H
+                    # singular; see the docstring
+                    raise MetricError("non-finite Lewis weights")
+                u = u + dpotrs(H, tau * (np.log(tau) - u), lower=1)[0]
+            else:
+                step = u + gamma * (np.log(tau) - u)
+                u, u_prev = u_prev + omega * (step - u_prev), u
+                omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
             w = np.exp(u)
     raise LewisConvergenceError(residual, max_iter)
 

@@ -228,7 +228,8 @@ def test_sample_at_a_tiny_step_size_accepts(files, capsys):
      ["--lambda", "1", "--metric", "lewis", "--lewis-tol", "-1"],
      ["--lambda", "inf"],
      *(["--lambda", "1", "--metric", "lewis", flag, value]
-       for flag, value in (("--c1", "inf"), ("--c2", "inf"), ("--c2", "nan")))],
+       for flag, value in (("--c1", "inf"), ("--c2", "inf"), ("--c2", "nan"),
+                           ("--lewis-tol", "inf"), ("--lewis-tol", "1")))],
 )
 def test_sample_bad_metric_flags_exit_2(files, flags):
     tmp, poly, gauss = files

@@ -46,17 +46,20 @@ GOLDEN = {
         "b9239d9924faa9ec1b0a360c115976e58c4c068815d1fdcf56d5ecfbef77b355",
     ],
     # "lewis" and "certify" were re-recorded when the Lewis fixed point became a
-    # Chebyshev semi-iteration: same weights to ~1e-7 relative, other low bits
-    "lewis": "1c587a31f91a8909f0796bf3a60f57629085b0e0ed2dba20a2e5d957dad43a74",
+    # Chebyshev semi-iteration: same weights to ~1e-7 relative, other low bits.
+    # They were re-recorded again when small shapes took exact Newton steps and
+    # the leverage scores came from an explicit inverse of the Gram's factor:
+    # same accepts, samples moved <= 2.3e-9, ssc[lewis] max_slack <= 5.6e-9
+    "lewis": "6b9222331a6519310fb4f80aa38c0d4220b8321f4bbfbbe4fb39181814930269",
     # "diagnose" and "certify" were re-recorded when each corpus instance i
     # took its own stream default_rng([seed, i]) instead of a share of one
     # default_rng(seed) stream, so that the instances can run in any process
     "diagnose": "e75374c644d1a6eb8a9aea8d2120a8e26e459477f694375cacf8c53cd7ddbec1",
     # diagnose_corpus(seed, trials=40) for seeds 0, 1, 2, every bit of max_slack
     "certify": [
-        "d56f2447a5da1d8308445ddf7124404298f00454cb1076517724d852713efbf4",
-        "46d5bdc5c319f7d2b6212e3ba219a03558e30034cdea9f5c3fb2e8b2b4502a76",
-        "8b45b19616e914d8293fff37c23d68cb09849f163075fee21cb58dd972b1b523",
+        "c4869dc66d27398c13bea5e7bc21d53075086e0eb8a0554d143de812a6182549",
+        "c3957da358e57a004a4ed3f2be6e877939683a4af86e1b3251ed8604add86bf9",
+        "15d387b3e777eac64c0ccaf6e5c157947d1d3c4c3733908296a1a519b3a61a79",
     ],
 }
 

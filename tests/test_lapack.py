@@ -3,7 +3,7 @@ import sys
 
 from dikinwalk import _lapack
 
-NAMES = ("dpotrf", "dpotrs", "dtrtrs")
+NAMES = ("dpotrf", "dpotrs", "dtrtri", "dtrtrs")
 
 
 def test_scipy_linalg_reuses_the_loaded_extension():

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dikinwalk.diagnostics import lewis_fixed_point_residual
+from dikinwalk import metrics
+from dikinwalk.diagnostics import (
+    diagnose_corpus,
+    lewis_fixed_point_residual,
+    random_polytope_with_interior,
+)
 from dikinwalk.metrics import (
     LewisConvergenceError,
     MetricError,
@@ -144,6 +149,43 @@ def test_lewis_weights_solve_what_the_reference_solves_on_scaled_rows():
         Ax = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 0, size=m)[:, None]
         if _lewis_weights_cho(Ax, q) is not None:
             assert lewis_weights(Ax, q).residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, m, newton",
+    [(1, 1, True), (3, 8, True), (10, 40, True), (2, 96, True), (2, 97, False),
+     (40, 120, True), (40, 121, False), (5, 200, False), (50, 200, False)],
+)
+def test_lewis_weights_on_both_sides_of_the_update_rule(n, m, newton):
+    # Newton steps at small m, Chebyshev at large m: both reach the damped
+    # reference's weights, solve the fixed point and repeat their bytes
+    assert metrics._newton_side(m, n) == newton
+    P, _ = random_polytope_with_interior(n, m, np.random.default_rng(n * 1000 + m))
+    Ax = P.A / -P.b[:, None]
+    q = default_lewis_q(m)
+    lw = lewis_weights(Ax, q)
+    ref = _lewis_weights_cho(Ax, q)
+    assert np.max(np.abs(lw.w - ref[0]) / ref[0]) <= 1e-6
+    assert lewis_fixed_point_residual(Ax, lw.w, q) <= 1e-7
+    again = lewis_weights(Ax, q)
+    assert again.w.tobytes() == lw.w.tobytes()
+    assert (again.residual, again.iterations) == (lw.residual, lw.iterations)
+
+
+def test_certification_corpus_takes_few_lewis_iterations(monkeypatch):
+    # every shape of the corpus (n <= 5, m <= 10) takes Newton steps: ~4 per
+    # evaluation, where the Chebyshev semi-iteration took ~15
+    iterations = []
+
+    def recording(*args, **kwargs):
+        lw = lewis_weights(*args, **kwargs)
+        iterations.append(lw.iterations)
+        return lw
+
+    monkeypatch.setattr(metrics, "lewis_weights", recording)
+    diagnose_corpus(0, 40)
+    assert len(iterations) >= 100
+    assert np.mean(iterations) <= 6
 
 
 def test_lewis_rank_deficient_raises():
