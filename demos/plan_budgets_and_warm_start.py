@@ -20,6 +20,7 @@ from dikinwalk import (
     sample_warm_start,
     solve_modes,
     warm_start_ball,
+    warmness_bound,
 )
 
 
@@ -34,12 +35,14 @@ def main():
     print(f"unconstrained mode x*  = {modes.x_star}")
     print(f"constrained mode x_dag = {modes.x_dag}")
 
-    ball = warm_start_ball(
-        target, P, x1=np.array([5.0, 5.0]), r_tilde=1.0, modes=modes,
-        outer_radius=side * math.sqrt(2.0),
-    )
+    x1 = np.array([5.0, 5.0])
+    ball = warm_start_ball(target, P, x1=x1, r_tilde=1.0, modes=modes)
     print(f"warm-start ball: x0={ball.x0}, r0={ball.r0:.4f}, r1={ball.r1:.4f}")
-    print(f"warmness bound: logM = {ball.logM:.2f}")
+    # the bound, unlike the ball, needs an outer radius of K
+    logM = warmness_bound(
+        target, P, x1=x1, r_tilde=1.0, modes=modes, outer_radius=side * math.sqrt(2.0)
+    )
+    print(f"warmness bound: logM = {logM:.2f}")
     rng = np.random.default_rng(0)
     worst = max(
         target.f(sample_warm_start(ball, rng)) - target.f(modes.x_dag)
@@ -49,11 +52,11 @@ def main():
 
     qry = MixingBudgetQuery(
         regime="strong", m=P.m, n=P.n, metric=SoftThreshold(lam=1.0),
-        M=math.exp(ball.logM), eps=0.1, C=1.0, kappa=target.kappa,
+        M=math.exp(logM), eps=0.1, C=1.0, kappa=target.kappa,
     )
     plain = mixing_budget(qry)
     tuned = beyond_worst_case_budget(
-        P, target, modes, M=math.exp(ball.logM), eps=0.1, C=1.0
+        P, target, modes, M=math.exp(logM), eps=0.1, C=1.0
     )
     print(f"plain budget      T = {plain}")
     print(

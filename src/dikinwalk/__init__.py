@@ -62,6 +62,7 @@ from dikinwalk.planner import (
     solve_modes,
     violated_constraint_count,
     warm_start_ball,
+    warmness_bound,
 )
 from dikinwalk.diagnostics import (
     CertReport,

@@ -55,6 +55,7 @@ from dikinwalk.planner import (
     solve_modes,
     warm_start_ball,
     warm_start_center,
+    warmness_bound,
 )
 from dikinwalk.polytope import (
     PolytopeError,
@@ -380,17 +381,10 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise CliError("--seed must be >= 0", EXIT_PARSE)
 
 
-def _check_ball_flags(args: argparse.Namespace) -> None:
-    # warm_start_ball rejects these too, but as a planner (numeric) failure
+def _check_r_tilde(args: argparse.Namespace) -> None:
+    # warm_start_ball rejects it too, but as a planner (numeric) failure
     if not 0 < args.r_tilde < np.inf:
         raise CliError("--r-tilde must be positive and finite", EXIT_PARSE)
-    # the warm-start bound squares it
-    R = args.outer_radius
-    if R is not None and not (R > 0 and 0 < R * R < math.inf):
-        raise CliError(
-            "--outer-radius must be positive with a finite, nonzero square",
-            EXIT_PARSE,
-        )
 
 
 def _resolve_metric(args: argparse.Namespace, beta: float):
@@ -421,21 +415,25 @@ def _load_inputs(args: argparse.Namespace):
 
 
 def _warm_start(args: argparse.Namespace, gauss, target, P, x1):
-    """The warm-start ball around x1; a None x1 is the constrained mode, moved
-    inside when it lies within --r-tilde of the boundary."""
+    """(ball, x1, modes): the warm-start ball around x1; a None x1 is the
+    constrained mode, moved inside when it lies within --r-tilde of the boundary."""
     modes = solve_modes(gauss, P)
     if x1 is None:
         try:
             x1 = warm_start_center(P, modes.x_dag, args.r_tilde)
         except PlannerError as exc:
             raise PlannerError(f"{exc}; lower --r-tilde") from exc
-    return warm_start_ball(target, P, x1, args.r_tilde, modes, args.outer_radius)
+    return warm_start_ball(target, P, x1, args.r_tilde, modes), x1, modes
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     P, gauss = _load_inputs(args)
     target = quadratic_target(gauss)
     metric = _resolve_metric(args, target.beta)
+    if isinstance(metric, RegularizedLewis) and P.m < P.n:
+        raise CliError(
+            f"--metric lewis needs m >= n constraints (m={P.m}, n={P.n})", EXIT_PARSE
+        )
     try:
         config = WalkConfig(
             metric=metric,
@@ -461,8 +459,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise CliError("initial point is not interior", EXIT_INFEASIBLE)
         init = x0
     elif args.init_warmstart:
-        _check_ball_flags(args)
-        ball = _warm_start(args, gauss, target, P, x1=None)
+        _check_r_tilde(args)
+        ball, _, _ = _warm_start(args, gauss, target, P, x1=None)
         init = lambda rng: sample_warm_start(ball, rng)  # noqa: E731
     else:
         raise CliError("specify --init-point or --init-warmstart", EXIT_PARSE)
@@ -507,20 +505,25 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def cmd_warmstart(args: argparse.Namespace) -> int:
-    _check_ball_flags(args)
+    _check_r_tilde(args)
+    R = args.outer_radius  # the warmness bound squares it
+    if R is not None and not (R > 0 and 0 < R * R < math.inf):
+        message = "--outer-radius must be positive with a finite, nonzero square"
+        raise CliError(message, EXIT_PARSE)
     P, gauss = _load_inputs(args)
     target = quadratic_target(gauss)
     x1 = None if args.x1 is None else np.array(args.x1, dtype=float)
     if x1 is not None and (x1.shape[0] != P.n or not np.all(np.isfinite(x1))):
         raise CliError("--x1 needs n finite values", EXIT_PARSE)
-    ball = _warm_start(args, gauss, target, P, x1)
+    ball, x1, modes = _warm_start(args, gauss, target, P, x1)
+    logM = warmness_bound(target, P, x1, args.r_tilde, modes, R)
     content = _manifest(args) + _kv_block(
         [
             ("x0", _fmt_vec(ball.x0)),
             ("r0", f"{ball.r0:.17g}"),
             ("r1", f"{ball.r1:.17g}"),
-            ("logM", f"{ball.logM:.17g}"),
-            ("outer_radius_estimated", str(ball.outer_radius_estimated).lower()),
+            ("logM", f"{logM:.17g}"),
+            ("outer_radius_estimated", str(R is None).lower()),
         ]
     )
     _write_outputs([(args.out, content)])
@@ -532,7 +535,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         metric = (
             SoftThreshold(lam=1.0)
             if args.metric == "soft"
-            else RegularizedLewis(lam=1.0, c1=args.c1, c2=args.c2)
+            else RegularizedLewis(lam=1.0, c2=args.c2)
         )
         qry = MixingBudgetQuery(
             regime=args.regime,
@@ -647,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-point", type=float, nargs="+", default=None)
     p.add_argument("--init-warmstart", action="store_true")
     p.add_argument("--r-tilde", type=float, default=0.1)
-    p.add_argument("--outer-radius", type=float, default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
@@ -662,7 +664,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_polytope_gaussian(p)
     p.add_argument("--x1", type=float, nargs="+", default=None)
     p.add_argument("--r-tilde", type=float, required=True)
-    p.add_argument("--outer-radius", type=float, default=None)
+    p.add_argument(
+        "--outer-radius",
+        type=float,
+        default=None,
+        help="outer radius of K, used only for the warmness bound logM "
+        "(default: the largest chord reach from x1 along the axes, a "
+        "lower-bound estimate that needs K bounded along every axis)",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_warmstart)
 
@@ -677,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmness", type=float, required=True, help="warmness M")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
-    p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=0.0)
     p.add_argument("--beyond-worst-case", action="store_true")
     p.add_argument("--polytope", default=None)

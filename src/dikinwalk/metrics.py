@@ -12,6 +12,10 @@ from dikinwalk._lapack import dpotrf, dpotrs, dtrtri
 from dikinwalk.polytope import Polytope, slack
 
 
+# lewis_weights gives up once its residual has not halved in this many iterations
+STALL_ITERATIONS = 20
+
+
 class MetricError(ValueError):
     """Metric evaluation failed (exterior point, rank deficiency, ...)."""
 
@@ -143,7 +147,11 @@ def lewis_weights(
     tau_i(w) = w_i^{c_q} a_i^T (Ax^T W^{c_q} Ax)^{-1} a_i is the leverage score
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
-    first iterate with max_i |w_i - tau_i| / w_i <= tol.
+    first iterate with max_i |w_i - tau_i| / w_i <= tol. It raises
+    LewisConvergenceError after max_iter iterations, or earlier, once the
+    residual has not fallen to half its last such mark in STALL_ITERATIONS
+    iterations: on a nearly rank-deficient Ax roundoff holds it above tol.
+    Both rules count iterations, so the outcome is a function of Ax.
 
     Leverage scores. Each iteration factors the weighted Gram
     Ax^T W^{c_q} Ax = L L^T, inverts L explicitly and forms Z = Ax L^{-T}, so
@@ -199,6 +207,7 @@ def lewis_weights(
     u = u_prev = np.log(w)
     omega = 1.0
     residual = np.inf
+    mark, mark_it = np.inf, 0  # the last residual at most half the mark before
     # a leverage score that underflows to 0 or turns NaN (log 0, 0 / 0) ends
     # in the non-finite MetricError below; numpy need not warn first.
     # Entered once per call, not per iteration: it costs ~2.6 us
@@ -224,6 +233,10 @@ def lewis_weights(
                 return LewisWeights(w=w, residual=residual, iterations=it)
             if not math.isfinite(residual):
                 raise MetricError("non-finite Lewis weights")
+            if residual <= 0.5 * mark:
+                mark, mark_it = residual, it
+            elif it - mark_it >= STALL_ITERATIONS:
+                raise LewisConvergenceError(residual, it)
             if newton:
                 # H = (1 - cq) diag(tau) + cq (P o P), the docstring's system
                 K = Z @ Z.T

@@ -39,8 +39,6 @@ class WarmStartBall:
     x0: np.ndarray
     r0: float
     r1: float
-    logM: float
-    outer_radius_estimated: bool = False
 
 
 @dataclass(frozen=True)
@@ -149,18 +147,12 @@ def solve_modes(gauss: GaussianTarget, P: Polytope) -> ModePair:
 def _estimate_outer_radius(P: Polytope, x1: np.ndarray) -> float:
     """Max chord reach from x1 along the 2n axis directions; a lower-bound
     estimate of the circumradius, flagged as such by the caller."""
-    reach = 0.0
-    for i in range(P.n):
-        d = np.zeros(P.n)
-        d[i] = 1.0
-        c = chord(P, x1, d)
-        for t in (c.t_minus, c.t_plus):
-            if math.isfinite(t):
-                reach = max(reach, abs(t))
-            else:
-                raise PlannerError(
-                    "polytope is unbounded along an axis; supply the outer radius"
-                )
+    chords = [chord(P, x1, d) for d in np.eye(P.n)]
+    reach = max(max(abs(c.t_minus), abs(c.t_plus)) for c in chords)
+    if not math.isfinite(reach):
+        raise PlannerError(
+            "polytope is unbounded along an axis; supply the outer radius"
+        )
     return reach
 
 
@@ -188,20 +180,16 @@ def warm_start_ball(
     x1: np.ndarray,
     r_tilde: float,
     modes: ModePair,
-    outer_radius: Optional[float] = None,
 ) -> WarmStartBall:
     """Ball construction guaranteeing f increases at most 1 over its interior.
 
     r1 = min{1/sqrt(beta), 1/(2 beta |x_dag - x_star|)}; the ball B(x0, r0) is
     the largest ball in the cone hull of {x_dag} and B(x1, r_tilde) that stays
-    inside B(x_dag, r1). logM is the warmness bound for the uniform
-    distribution on the ball.
+    inside B(x_dag, r1). It needs no outer radius, so K may be unbounded.
     """
     x1 = P._check_dim(x1)
     if not 0 < r_tilde < math.inf:
         raise PlannerError("r_tilde must be positive and finite")
-    if outer_radius is not None and not 0 < outer_radius < math.inf:
-        raise PlannerError("outer_radius must be positive and finite")
     if target.beta <= 0:
         raise PlannerError("beta must be positive")
     # written so that a NaN margin fails it too
@@ -212,43 +200,55 @@ def warm_start_ball(
     r1 = 1.0 / math.sqrt(beta)
     if mode_gap > 0:
         r1 = min(r1, 1.0 / (2.0 * beta * mode_gap))
-    estimated = outer_radius is None
-    R_tilde = _estimate_outer_radius(P, x1) if estimated else float(outer_radius)
-    try:
-        second = 0.5 * math.log(beta * R_tilde**2)
-        if mode_gap > 0:
-            second = max(second, math.log(2.0 * beta * R_tilde * mode_gap))
-        logM = 1.0 + P.n * math.log(3.0 * R_tilde / r_tilde) + P.n * second
-    except (OverflowError, ValueError):  # R_tilde^2 overflows, or beta R_tilde^2 is 0
-        logM = math.nan
-    # 3 R_tilde / r_tilde overflows to inf, which log accepts, for a subnormal r_tilde
-    if not math.isfinite(logM):
-        raise PlannerError(
-            f"warmness bound logM is out of range at outer radius {R_tilde:g}"
-            f" and r_tilde {r_tilde:g}"
-        )
     d1 = float(np.linalg.norm(x1 - modes.x_dag))
     r0 = r1 * r_tilde / (d1 + r_tilde)
-    x0 = modes.x_dag + (r1 / (r_tilde + d1)) * (x1 - modes.x_dag)
+    scale = r1 / (r_tilde + d1)
+    # a subnormal r_tilde at x1 = x_dag overflows the scale, and x0 = inf * 0
+    # would be NaN, whose margins compare as inside
+    if not (math.isfinite(scale) and math.isfinite(r0)):
+        raise PlannerError(f"warm-start ball is not finite at r_tilde {r_tilde:g}")
+    x0 = modes.x_dag + scale * (x1 - modes.x_dag)
     # degenerate collinear cases (e.g. x1 = x_dag) can push the ball to the
-    # boundary; cap r0 by the actual per-constraint margin at x0
+    # boundary; cap r0 by the actual per-constraint margin at x0, which keeps
+    # the ball in K. It lies in B(x_dag, r1): |x0 - x_dag| + r0 <= r1
     if P.m > 0:
         r0 = min(r0, float(np.min(_margins(P, x0))))
     if r0 <= 0:
         raise PlannerError("warm-start ball collapsed (x0 too close to boundary)")
-    ball = WarmStartBall(
-        x0=x0, r0=r0, r1=r1, logM=logM, outer_radius_estimated=estimated
-    )
-    _validate_ball(ball, P, modes)
-    return ball
+    return WarmStartBall(x0=x0, r0=r0, r1=r1)
 
 
-def _validate_ball(ball: WarmStartBall, P: Polytope, modes: ModePair) -> None:
-    if P.m > 0 and np.min(_margins(P, ball.x0)) < ball.r0 - 1e-9:
-        raise PlannerError("warm-start ball leaves the polytope")
-    reach = float(np.linalg.norm(ball.x0 - modes.x_dag)) + ball.r0
-    if reach > ball.r1 + 1e-9:
-        raise PlannerError("warm-start ball leaves B(x_dag, r1)")
+def warmness_bound(
+    target: LogConcaveTarget, P: Polytope, x1: np.ndarray, r_tilde: float,
+    modes: ModePair, outer_radius: Optional[float] = None,
+) -> float:
+    """log M = 1 + n log(3 R / r_tilde) + n max{log(sqrt(beta) R), log(2 beta R g)},
+    g = |x_dag - x_star|, bounds the warmness of the uniform distribution on
+    warm_start_ball(target, P, x1, r_tilde, modes) for an outer radius R of
+    K. Without one, R is _estimate_outer_radius(P, x1), which needs K
+    bounded along every axis.
+    """
+    if not 0 < r_tilde < math.inf:
+        raise PlannerError("r_tilde must be positive and finite")
+    if outer_radius is not None and not 0 < outer_radius < math.inf:
+        raise PlannerError("outer_radius must be positive and finite")
+    beta = target.beta
+    mode_gap = float(np.linalg.norm(modes.x_dag - modes.x_star))
+    R = outer_radius or _estimate_outer_radius(P, x1)  # a given one is > 0
+    try:
+        second = 0.5 * math.log(beta * R**2)
+        if mode_gap > 0:
+            second = max(second, math.log(2.0 * beta * R * mode_gap))
+        logM = 1.0 + P.n * math.log(3.0 * R / r_tilde) + P.n * second
+    except (OverflowError, ValueError):  # R^2 overflows, or beta R^2 is <= 0
+        logM = math.nan
+    # 3 R / r_tilde overflows to inf, which log accepts, for a subnormal r_tilde
+    if not math.isfinite(logM):
+        raise PlannerError(
+            f"warmness bound logM is out of range at outer radius {R:g}"
+            f" and r_tilde {r_tilde:g}"
+        )
+    return logM
 
 
 def sample_warm_start(ball: WarmStartBall, rng: np.random.Generator) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_criterion_8_warm_start_instances():
         target = quadratic_target(gauss)
         modes = solve_modes(gauss, P)
         try:
-            ball = warm_start_ball(target, P, x1, r_tilde, modes, outer_radius=20.0)
+            ball = warm_start_ball(target, P, x1, r_tilde, modes)
         except Exception:
             continue
         norms = np.linalg.norm(P.A, axis=1)

@@ -8,12 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from dikinwalk import cli, diagnostics
+from dikinwalk import cli, diagnostics, metrics, planner
 from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
 from dikinwalk.diagnostics import DiagnosticsError, diagnose_corpus
 from dikinwalk.metrics import LewisConvergenceError, MetricError
 from dikinwalk.planner import PlannerError
-from dikinwalk.polytope import PolytopeError, PolytopeFormatError
+from dikinwalk.polytope import PolytopeError, PolytopeFormatError, contains, parse_polytope
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError, TargetError
 from dikinwalk.walk import NonFiniteDensityError, WalkError
 
@@ -287,13 +287,10 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
          "--outer-radius", "0"],
         ["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "0.5",
          "--outer-radius", "-1"],
-        ["sample", "--polytope", "{B}", "--gaussian", "{G}", "--lambda", "1",
-         "--steps", "10", "--init-warmstart", "--outer-radius", "0"],
         *(["budget", "--regime", "weak", "--m", "4", "--n", "2", "--beta-eta", "1",
            "--warmness", "2", "--eps", "0.1", "--C", "1", *flags]
           for flags in (["--kappa", "nan"], ["--C", "inf"], ["--beta-eta", "nan"],
-                        ["--psi-n-sq", "inf"], ["--metric", "lewis", "--c1", "0"],
-                        ["--metric", "lewis", "--c2", "-1"])),
+                        ["--psi-n-sq", "inf"], ["--metric", "lewis", "--c2", "-1"])),
         ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "inf",
          "--warmness", "2", "--eps", "0.1", "--C", "1"],
         ["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "inf"],
@@ -327,15 +324,26 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
         # ... and the square underflows to 0
         ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--r-tilde", "0.1",
          "--outer-radius", "1e-320"],
-        ["sample", "--polytope", "{B}", "--gaussian", "{G}", "--lambda", "1",
-         "--steps", "10", "--init-warmstart", "--outer-radius", "1e-320"],
+        # the Lewis metric on m < n constraints: m = 0, and m = 1 with either start
+        *(["sample", "--polytope", poly, "--gaussian", "{G}", "--lambda", "1",
+           "--metric", "lewis", "--steps", "10", *start]
+          for poly, start in (("{R}", ["--init-point", "1", "1"]),
+                              ("{H}", ["--init-point", "1", "1"]),
+                              ("{H}", ["--init-warmstart"]))),
     ],
 )
 def test_bad_flag_values_exit_2(files, argv):
     tmp, poly, gauss = files
     box = tmp / "box.txt"  # (-1, 1)^2, so the constrained mode 0 is interior
     box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
-    assert main([a.format(P=poly, B=box, G=gauss) for a in argv]) == 2
+    plane = tmp / "plane.txt"  # R^2, m = 0
+    plane.write_text("2 0\n")
+    half = tmp / "half.txt"  # x[0] > 0, m = 1
+    half.write_text("2 1\n1 0\n0\n")
+    out = tmp / "never.txt"
+    argv = [a.format(P=poly, B=box, G=gauss, R=plane, H=half) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # argv that succeeds as it stands; the sweep appends one numeric flag to it
@@ -343,8 +351,7 @@ SWEEP_BASES = {
     "sample-soft": ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
                     "--steps", "5", "--init-point", "1", "1"],
     "sample-lewis": ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
-                     "--metric", "lewis", "--steps", "5", "--init-warmstart",
-                     "--outer-radius", "10"],
+                     "--metric", "lewis", "--steps", "5", "--init-warmstart"],
     "warmstart": ["warmstart", "--polytope", "{P}", "--gaussian", "{G}",
                   "--r-tilde", "0.1"],
     "budget-strong": ["budget", "--regime", "strong", "--m", "2", "--n", "2",
@@ -536,15 +543,29 @@ def _finite_left_of(t):
     return factory
 
 
+def _lewis_converges_left_of(t):
+    # on the box (-1, 1)^2 row 0 of A_x is (1 / (x[0] + 1), 0), so x[0] is
+    # read off it; the error names x[0] as its residual
+    lewis_weights = metrics.lewis_weights
+
+    def patched(Ax, *args, **kwargs):
+        x0 = 1.0 / Ax[0, 0] - 1.0
+        if x0 >= t:
+            raise LewisConvergenceError(x0, 1000)
+        return lewis_weights(Ax, *args, **kwargs)
+
+    return patched
+
+
 @pytest.mark.parametrize(
     "seed, flags, kind",
     [
         # f is infinite at x[0] >= 1.3: chain 0 never proposes there, chains 1
         # and 2 do, at different points
         (17, [], "f"),
-        # residual floors near 6e-16 vary with the point: chain 0 converges
-        # everywhere, chains 1 and 2 fail with different residuals
-        (3, ["--metric", "lewis", "--lewis-tol", "6e-16"], "lewis"),
+        # the Lewis solve fails at x[0] >= 0.7: chain 0 never proposes there,
+        # chains 1 and 2 do, at different points
+        (31, ["--metric", "lewis"], "lewis"),
     ],
     ids=["non-finite-f", "lewis-convergence"],
 )
@@ -559,6 +580,7 @@ def test_failing_chain_matches_serial(tmp_path, monkeypatch, capsys, seed, flags
         monkeypatch.setattr(cli, "quadratic_target", _finite_left_of(1.3))
         poly, x0 = orthant, ["1", "1"]
     else:
+        monkeypatch.setattr(metrics, "lewis_weights", _lewis_converges_left_of(0.7))
         poly, x0 = box, ["0.5", "0.5"]
     monkeypatch.chdir(tmp_path)
     argv = [
@@ -733,8 +755,9 @@ def test_warm_start_from_boundary_mode(files, capsys):
     # the standard normal's constrained mode is the orthant's corner, where
     # B(x_dag, r_tilde) leaves the polytope; the ball is built around (0.1, 0.1)
     tmp, poly, gauss = files
-    ball_flags = ["--r-tilde", "0.1", "--outer-radius", "10"]
-    code = main(["warmstart", "--polytope", poly, "--gaussian", gauss, *ball_flags])
+    ball_flags = ["--r-tilde", "0.1"]
+    code = main(["warmstart", "--polytope", poly, "--gaussian", gauss, *ball_flags,
+                 "--outer-radius", "10"])
     assert code == 0
     kv = dict(
         ln.split("=", 1) for ln in capsys.readouterr().out.splitlines()
@@ -760,10 +783,11 @@ def test_warm_start_without_room_names_r_tilde(tmp_path, command, capsys):
     poly.write_text("2 4\n1 0\n0 1\n-1 0\n0 -1\n0 0 -0.1 -0.1\n")
     gauss = tmp_path / "std2.txt"
     gauss.write_text(STD2)
-    argv = [command, "--polytope", str(poly), "--gaussian", str(gauss)]
-    argv += ["--r-tilde", "0.1", "--outer-radius", "1"]
+    argv = [command, "--polytope", str(poly), "--gaussian", str(gauss), "--r-tilde", "0.1"]
     if command == "sample":
         argv += ["--lambda", "1", "--steps", "5", "--init-warmstart"]
+    else:
+        argv += ["--outer-radius", "1"]
     assert main(argv) == 4
     assert "--r-tilde" in capsys.readouterr().err
 
@@ -794,8 +818,7 @@ def test_sample_from_a_subnormal_r_tilde_exits_4(files, capsys):
     out = tmp / "never.csv"
     code = main([
         "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
-        "--steps", "5", "--init-warmstart", "--r-tilde", "1e-320",
-        "--outer-radius", "10", "--out", str(out),
+        "--steps", "5", "--init-warmstart", "--r-tilde", "1e-320", "--out", str(out),
     ])
     assert code == 4
     assert "found no ball of radius r_tilde" in capsys.readouterr().err
@@ -815,6 +838,76 @@ def test_warm_start_bound_of_a_subnormal_r_tilde_exits_4(files, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: warmness bound logM is out of range")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["warmstart", "sample"])
+def test_warm_ball_at_the_mode_of_a_subnormal_r_tilde_exits_4(
+    files, monkeypatch, command, capsys
+):
+    # at x1 = x_dag, x0 = x_dag + (r1 / r_tilde) * 0 would be NaN; the ball is
+    # refused before it is built, with or without a warmness bound after it
+    tmp, _, gauss = files
+    box = tmp / "box.txt"  # (-1, 1)^2, so the constrained mode 0 is interior
+    box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+    monkeypatch.setattr(planner, "WarmStartBall", None)
+    out = tmp / "never.txt"
+    argv = [command, "--polytope", str(box), "--gaussian", gauss, "--r-tilde", "1e-320"]
+    if command == "sample":
+        argv += ["--lambda", "1", "--steps", "5", "--init-warmstart"]
+    else:
+        argv += ["--x1", "0", "0"]
+    assert main([*argv, "--out", str(out)]) == 4
+    assert "warm-start ball is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "polytope, gaussian",
+    [("2 2\n1 0\n0 1\n0 0\n", "2\n1 1\n1 0\n0 1\n"),  # the orthant
+     ("2 1\n1 1\n0\n", STD2),  # a half-plane; the mode is on its boundary
+     ("3 2\n1 0 0\n0 1 0\n0 0\n", "3\n1 1 0\n1 0 0\n0 1 0\n0 0 1\n")],  # m < n
+    ids=["orthant", "half-plane", "m-below-n"],
+)
+def test_sample_warm_start_needs_no_outer_radius(
+    tmp_path, monkeypatch, polytope, gaussian
+):
+    # only warmstart's warmness bound reads an outer radius; sample never
+    # estimates one, so it starts on polytopes that are unbounded along an axis
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sample computed a warmness bound")
+
+    monkeypatch.setattr(planner, "_estimate_outer_radius", unreachable)
+    monkeypatch.setattr(planner, "warmness_bound", unreachable)
+    monkeypatch.setattr(cli, "warmness_bound", unreachable)
+    poly, gauss, out = tmp_path / "p.txt", tmp_path / "g.txt", tmp_path / "s.csv"
+    poly.write_text(polytope)
+    gauss.write_text(gaussian)
+    code = main([
+        "sample", "--polytope", str(poly), "--gaussian", str(gauss), "--lambda", "1",
+        "--steps", "50", "--init-warmstart", "--out", str(out),
+    ])
+    assert code == 0
+    P = parse_polytope(polytope)
+    rows = [ln for ln in _data_lines(out) if "," in ln]
+    assert len(rows) == 50
+    assert all(contains(P, np.array(ln.split(","), dtype=float)) for ln in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+       "--steps", "5", "--init-warmstart", "--outer-radius", "10"], "--outer-radius"),
+     (["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
+       "--warmness", "2", "--eps", "0.1", "--C", "1", "--metric", "lewis",
+       "--c1", "5"], "--c1")],
+    ids=["sample-outer-radius", "budget-c1"],
+)
+def test_removed_flags_are_unknown(files, argv, flag, capsys):
+    _, poly, gauss = files
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(P=poly, G=gauss) for a in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["warmstart", "budget"])

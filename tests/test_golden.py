@@ -56,6 +56,21 @@ GOLDEN = {
     # default_rng(seed) stream, so that the instances can run in any process
     "diagnose": "e75374c644d1a6eb8a9aea8d2120a8e26e459477f694375cacf8c53cd7ddbec1",
     # diagnose_corpus(seed, trials=40) for seeds 0, 1, 2, every bit of max_slack
+    # warmstart, budget and oracle were recorded at the commit before the
+    # warmness bound moved out of warm_start_ball, so that warmstart's bytes
+    # are checked across that change
+    "warmstart": [
+        "d11d3b42390c7ffe3fbde2f8ba7c6639519a3881053baa326fe3fb6a5fa7c1df",
+        "c657bc5821286f76cf2177bebf3dea933744fd9638e50c12fbb083cca4b2a7bf",
+        "7cd3684d95c8453302321372de7149bb1a5f5a8e74273471fc650f861bdc4d34",
+        "299ab956206d50cc6c4796ceab54d3513050638fad03fab95dbd69e64be2010b",
+    ],
+    "budget": [
+        "a7cae031ff959fd1d5af021ca0a6bda819d8139a878dd94473962a84090d639a",
+        "792aa98a6e656d1618a8408105637a419ece54225cf1e63dfe705328aca69fa1",
+        "ceccf8aefbdd3c56351328738e444009c38c83e0a355f783b0bc26416ced1720",
+    ],
+    "oracle": "23eb63be8b5d8ec8545718034930c3185ce0cb1e37c32e17868e202006ecfc78",
     "certify": [
         "c4869dc66d27398c13bea5e7bc21d53075086e0eb8a0554d143de812a6182549",
         "c3957da358e57a004a4ed3f2be6e877939683a4af86e1b3251ed8604add86bf9",
@@ -79,11 +94,16 @@ def _cli_body_sha256(argv, capsys) -> str:
 
 
 @pytest.fixture
-def inputs(tmp_path, monkeypatch):
+def files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.txt").write_text(POLYTOPE)
     (tmp_path / "g.txt").write_text(GAUSSIAN)
-    return ["--polytope", "p.txt", "--gaussian", "g.txt", "--lambda-from-beta"]
+    return ["--polytope", "p.txt", "--gaussian", "g.txt"]
+
+
+@pytest.fixture
+def inputs(files):
+    return [*files, "--lambda-from-beta"]
 
 
 def test_golden_sample_soft_two_chains(inputs, tmp_path):
@@ -102,6 +122,42 @@ def test_golden_sample_lewis(inputs, capsys):
     argv += ["--burn-in", "10", "--step-size", "0.9", "--seed", "3"]
     argv += ["--init-point", "0.1", "0", "0"]
     assert _cli_body_sha256(argv, capsys) == GOLDEN["lewis"]
+
+
+# warmstart without and with --x1 and --outer-radius, the default r_tilde
+# keeping B(x1, r_tilde) inside K
+WARMSTART_ARGV = [
+    [],
+    ["--outer-radius", "2"],
+    ["--x1", "0.1", "0", "0"],
+    ["--x1", "0.1", "0", "0", "--outer-radius", "2"],
+]
+
+
+@pytest.mark.parametrize("case", range(len(WARMSTART_ARGV)))
+def test_golden_warmstart(files, capsys, case):
+    argv = ["warmstart", *files, "--r-tilde", "0.1", *WARMSTART_ARGV[case]]
+    assert _cli_body_sha256(argv, capsys) == GOLDEN["warmstart"][case]
+
+
+BUDGET_ARGV = [
+    ["--regime", "strong", "--kappa", "2"],
+    ["--regime", "weak", "--metric", "lewis", "--c2", "1.5", "--beta-eta", "3"],
+    ["--regime", "strong", "--kappa", "2", "--beyond-worst-case",
+     "--polytope", "p.txt", "--gaussian", "g.txt"],
+]
+
+
+@pytest.mark.parametrize("case", range(len(BUDGET_ARGV)))
+def test_golden_budget(files, capsys, case):
+    argv = ["budget", "--m", "8", "--n", "3", "--warmness", "7", "--eps", "0.1"]
+    argv += ["--C", "1", *BUDGET_ARGV[case]]
+    assert _cli_body_sha256(argv, capsys) == GOLDEN["budget"][case]
+
+
+def test_golden_oracle(files, capsys):
+    argv = ["oracle", *files, "--n-samples", "50", "--seed", "4"]
+    assert _cli_body_sha256(argv, capsys) == GOLDEN["oracle"]
 
 
 def test_golden_diagnose(capsys):

@@ -188,6 +188,19 @@ def test_certification_corpus_takes_few_lewis_iterations(monkeypatch):
     assert np.mean(iterations) <= 6
 
 
+def test_lewis_stalled_solve_raises_early():
+    # with two columns collinear to 1e-6 the residual stops near 1e-4, far
+    # above tol, within ~10 iterations, and max_iter is 1000
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        Ax = rng.standard_normal((30, 4))
+        Ax[:, 3] = Ax[:, 2] + 1e-6 * rng.standard_normal(30)
+        with pytest.raises(LewisConvergenceError) as exc:
+            lewis_weights(Ax, q=10)
+        assert exc.value.iterations < 100
+        assert exc.value.residual > 1e-8
+
+
 def test_lewis_rank_deficient_raises():
     with pytest.raises(MetricError, match="rank-deficient"):
         lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), q=4)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dikinwalk import planner
 from dikinwalk.diagnostics import random_polytope_with_interior
 from dikinwalk.metrics import RegularizedLewis, SoftThreshold
 from dikinwalk.planner import (
@@ -18,6 +19,7 @@ from dikinwalk.planner import (
     violated_constraint_count,
     warm_start_ball,
     warm_start_center,
+    warmness_bound,
 )
 from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, quadratic_target
@@ -137,15 +139,16 @@ def test_warm_ball_centered_box():
     target = _std_normal_target(2)
     modes = solve_modes(_std_normal(2), P)
     n, R = 2, math.sqrt(2.0)
-    ball = warm_start_ball(target, P, np.zeros(2), 1.0, modes, outer_radius=R)
+    ball = warm_start_ball(target, P, np.zeros(2), 1.0, modes)
     assert ball.r1 == pytest.approx(1.0)
     assert ball.r0 == pytest.approx(1.0, abs=1e-6)
     np.testing.assert_allclose(ball.x0, np.zeros(2), atol=1e-7)
-    expected_logM = 1.0 + n * math.log(3.0 * R) + n * 0.5 * math.log(n)
-    assert ball.logM == pytest.approx(expected_logM, rel=1e-6)
-    assert not ball.outer_radius_estimated
-    est = warm_start_ball(target, P, np.zeros(2), 1.0, modes)
-    assert est.outer_radius_estimated  # axis-chord reach, flagged
+    # log M = 1 + n log(3 R / r_tilde) + n log(sqrt(beta) R)
+    logM = warmness_bound(target, P, np.zeros(2), 1.0, modes, outer_radius=R)
+    assert logM == pytest.approx(1.0 + n * math.log(3.0 * R) + n * math.log(R))
+    # without R, the axis-chord reach from 0, which is 1
+    est = warmness_bound(target, P, np.zeros(2), 1.0, modes)
+    assert est == pytest.approx(1.0 + n * math.log(3.0))
 
 
 def test_warm_ball_r1_when_modes_coincide():
@@ -153,7 +156,7 @@ def test_warm_ball_r1_when_modes_coincide():
     gauss = GaussianTarget(mu=np.zeros(2), Sigma=0.25 * np.eye(2))
     target = quadratic_target(gauss)
     modes = solve_modes(gauss, P)  # beta = 4, modes coincide
-    ball = warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius=4.0)
+    ball = warm_start_ball(target, P, np.zeros(2), 0.5, modes)
     assert ball.r1 == pytest.approx(0.5)  # 1/sqrt(beta), second branch inactive
 
 
@@ -162,7 +165,7 @@ def test_warm_ball_rejects_bad_x1():
     target = _std_normal_target(2)
     modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError):
-        warm_start_ball(target, P, np.array([0.05, 1.0]), 0.5, modes, outer_radius=5.0)
+        warm_start_ball(target, P, np.array([0.05, 1.0]), 0.5, modes)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
@@ -172,10 +175,10 @@ def test_warm_ball_rejects_bad_outer_radius(R):
     target = _std_normal_target(2)
     modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError, match="outer_radius"):
-        warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius=R)
+        warmness_bound(target, P, np.zeros(2), 0.5, modes, outer_radius=R)
 
 
-def test_warm_start_rejects_non_finite_inputs():
+def test_warm_start_rejects_non_finite_inputs(monkeypatch):
     # a NaN margin compares false either way
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     target = _std_normal_target(2)
@@ -187,14 +190,32 @@ def test_warm_start_rejects_non_finite_inputs():
             warm_start_ball(target, P, np.zeros(2), r_tilde, modes)
         with pytest.raises(PlannerError, match="r_tilde"):
             warm_start_center(P, np.array([1.0, 0.0]), r_tilde)
-    # R_tilde^2 overflows, or beta R_tilde^2 underflows to 0
+    # R^2 overflows, or beta R^2 underflows to 0
     for outer_radius in (1e200, 1e-200):
         with pytest.raises(PlannerError, match="logM is out of range"):
-            warm_start_ball(target, P, np.zeros(2), 0.5, modes, outer_radius)
-    # 3 R_tilde / r_tilde overflows to inf, and log(inf) does not raise; at
-    # x1 = x_dag this is caught before x0's r1 / r_tilde * 0 turns NaN
+            warmness_bound(target, P, np.zeros(2), 0.5, modes, outer_radius)
+    # 3 R / r_tilde overflows to inf, and log(inf) does not raise
     with pytest.raises(PlannerError, match="logM is out of range"):
-        warm_start_ball(target, P, np.zeros(2), 1e-320, modes, 10.0)
+        warmness_bound(target, P, np.zeros(2), 1e-320, modes, 10.0)
+    # at x1 = x_dag, x0 = x_dag + (r1 / r_tilde) * 0 is NaN, and NaN margins
+    # pass the containment checks; the ball is refused before it is built
+    monkeypatch.setattr(planner, "WarmStartBall", None)
+    with pytest.raises(PlannerError, match="not finite"):
+        warm_start_ball(target, P, np.zeros(2), 1e-320, modes)
+
+
+def test_warmness_bound_estimates_only_along_bounded_axes():
+    # the ball needs no outer radius on the orthant; the estimate of one does
+    P = make_orthant(2)
+    target = _std_normal_target(2, mu=[1.0, 1.0])
+    modes = solve_modes(_std_normal(2, mu=[1.0, 1.0]), P)
+    x1 = np.array([1.0, 1.0])
+    ball = warm_start_ball(target, P, x1, 0.5, modes)
+    assert ball.r0 == ball.r1 == 1.0
+    with pytest.raises(PlannerError, match="unbounded along an axis"):
+        warmness_bound(target, P, x1, 0.5, modes)
+    logM = warmness_bound(target, P, x1, 0.5, modes, outer_radius=10.0)
+    assert logM == pytest.approx(1.0 + 2 * math.log(60.0) + 2 * math.log(10.0))
 
 
 def test_warm_ball_random_instances():
@@ -215,7 +236,7 @@ def test_warm_ball_random_instances():
         target = quadratic_target(gauss)
         modes = solve_modes(gauss, P)
         try:
-            ball = warm_start_ball(target, P, x_int, r_tilde, modes, outer_radius=10.0)
+            ball = warm_start_ball(target, P, x_int, r_tilde, modes)
         except PlannerError:
             continue  # degenerate geometry; construction declined, not wrong
         count += 1
@@ -232,7 +253,7 @@ def test_warm_ball_degenerate_x1_at_mode():
     P = make_box([0.0, 0.0], [1.0, 1.0])
     target = _std_normal_target(2, mu=[0.5, 0.5])
     modes = solve_modes(_std_normal(2, mu=[0.5, 0.5]), P)
-    ball = warm_start_ball(target, P, modes.x_dag, 0.25, modes, outer_radius=1.0)
+    ball = warm_start_ball(target, P, modes.x_dag, 0.25, modes)
     np.testing.assert_allclose(ball.x0, modes.x_dag, atol=1e-7)
     assert ball.r0 <= 0.5 + 1e-9  # capped by the box margin at the center
 
@@ -244,7 +265,7 @@ def test_warm_start_center_moves_a_boundary_mode_inside():
     modes = solve_modes(_std_normal(2), P)
     x1 = warm_start_center(P, modes.x_dag, 0.1)
     np.testing.assert_allclose(x1, [0.1, 0.1], atol=1e-9)
-    ball = warm_start_ball(target, P, x1, 0.1, modes, outer_radius=10.0)
+    ball = warm_start_ball(target, P, x1, 0.1, modes)
     assert np.min(ball.x0) >= ball.r0 - 1e-9 and ball.r0 > 0
     # a mode with room around it is returned as it is
     box = make_box([-1.0, -1.0], [1.0, 1.0])
@@ -258,7 +279,7 @@ def test_warm_start_center_moves_a_boundary_mode_inside():
 def test_sample_warm_start_zero_radius_limit():
     from dikinwalk.planner import WarmStartBall
 
-    ball = WarmStartBall(x0=np.array([0.3, 0.7]), r0=1e-300, r1=1.0, logM=0.0)
+    ball = WarmStartBall(x0=np.array([0.3, 0.7]), r0=1e-300, r1=1.0)
     rng = np.random.default_rng(0)
     np.testing.assert_allclose(sample_warm_start(ball, rng), [0.3, 0.7], atol=1e-12)
 
@@ -266,7 +287,7 @@ def test_sample_warm_start_zero_radius_limit():
 def test_sample_warm_start_in_ball_and_symmetric():
     from dikinwalk.planner import WarmStartBall
 
-    ball = WarmStartBall(x0=np.zeros(1), r0=1.0, r1=2.0, logM=0.0)
+    ball = WarmStartBall(x0=np.zeros(1), r0=1.0, r1=2.0)
     rng = np.random.default_rng(6)
     xs = np.array([sample_warm_start(ball, rng)[0] for _ in range(10000)])
     assert np.all(np.abs(xs) <= 1.0)
