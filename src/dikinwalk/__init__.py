@@ -2,11 +2,12 @@
 
 The sampler is a Metropolis chain whose Gaussian proposal covariance is the
 inverse of a position-dependent local metric, either a log-barrier Hessian
-plus a Euclidean regularizer ("soft-threshold") or a Lewis-weighted barrier
-Hessian plus the same regularizer. Supporting modules provide Gaussian
-affine preconditioning, warm-start construction, iteration-budget planning,
-and a diagnostics suite (rejection-sampling oracles, cross-ratio / Hilbert
-geometry, numeric self-concordance certification).
+plus a regularizer ("soft-threshold") or a Lewis-weighted barrier Hessian
+plus the same regularizer. The regularizer is lam I, or an SPD matrix such
+as a Gaussian target's precision Sigma^{-1}. Supporting modules provide
+warm-start construction, iteration-budget planning, and a diagnostics suite
+(rejection-sampling oracles, cross-ratio / Hilbert geometry, numeric
+self-concordance certification).
 """
 
 from dikinwalk.polytope import (
@@ -21,14 +22,7 @@ from dikinwalk.polytope import (
     serialize_polytope,
     slack,
 )
-from dikinwalk.target import (
-    AffineTransform,
-    GaussianTarget,
-    LogConcaveTarget,
-    map_samples,
-    precondition_gaussian,
-    quadratic_target,
-)
+from dikinwalk.target import GaussianTarget, LogConcaveTarget, quadratic_target
 from dikinwalk.metrics import (
     LewisWeights,
     MetricError,

@@ -1,4 +1,8 @@
-"""Command-line front end: precondition, warmstart, budget, sample, oracle, diagnose.
+"""Command-line front end: sample, warmstart, budget, oracle, diagnose.
+
+`sample` regularizes its metric with the Gaussian's precision Sigma^-1 unless
+--lambda or --lambda-from-beta sets lambda I, so by default the walk mixes as
+on the whitened target, whatever Sigma's condition number.
 
 Every output file starts with a '#' manifest block recording the resolved
 parameters; stripping comment lines leaves machine-parseable data only.
@@ -57,18 +61,8 @@ from dikinwalk.planner import (
     warm_start_center,
     warmness_bound,
 )
-from dikinwalk.polytope import (
-    PolytopeError,
-    contains,
-    parse_polytope,
-    serialize_polytope,
-)
-from dikinwalk.target import (
-    GaussianTarget,
-    TargetError,
-    precondition_gaussian,
-    quadratic_target,
-)
+from dikinwalk.polytope import PolytopeError, contains, parse_polytope
+from dikinwalk.target import GaussianTarget, TargetError, quadratic_target
 from dikinwalk.walk import (
     NonFiniteDensityError,
     WalkConfig,
@@ -161,14 +155,6 @@ def serialize_gaussian(G: GaussianTarget) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_transform(T) -> str:
-    lines = [str(T.shift.shape[0])]
-    for row in T.L:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append(" ".join(f"{v:.17g}" for v in T.shift))
-    return "\n".join(lines) + "\n"
-
-
 def _load_gaussian(path: str) -> GaussianTarget:
     try:
         return parse_gaussian(_read_file(path))
@@ -193,8 +179,7 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
 
     Every file is written to a temp path in its directory first, and all are
     renamed only after every write has succeeded, so a failing write leaves
-    no file behind. A path given twice is an error, not a silent overwrite.
-    Stdout is written last.
+    no file behind. Stdout is written last.
     """
     staged: list[tuple[str, str]] = []
     to_stdout: list[str] = []
@@ -204,8 +189,6 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
                 if path is None:
                     to_stdout.append(content)
                     continue
-                if os.path.realpath(path) in {os.path.realpath(p) for _, p in staged}:
-                    raise CliError(f"cannot write {path}: given twice", EXIT_PARSE)
                 if os.path.isdir(path):
                     # os.replace would fail on it only after earlier renames
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -387,20 +370,25 @@ def _check_r_tilde(args: argparse.Namespace) -> None:
         raise CliError("--r-tilde must be positive and finite", EXIT_PARSE)
 
 
-def _resolve_metric(args: argparse.Namespace, beta: float):
+def _resolve_metric(args: argparse.Namespace, gauss: GaussianTarget, beta: float):
+    """The metric of --metric, regularized with --lambda, with beta under
+    --lambda-from-beta, and otherwise with the Gaussian's precision."""
     if args.lambda_from_beta:
         lam = beta
     elif args.lam is not None:
         lam = args.lam
     else:
-        raise CliError("specify --lambda or --lambda-from-beta", EXIT_PARSE)
+        lam = gauss.precision
+    lewis = {"c1": args.c1, "c2": args.c2, "q": args.q, "tol": args.lewis_tol}
+    lewis = {name: value for name, value in lewis.items() if value is not None}
+    if args.metric == "soft" and lewis:
+        message = "--c1, --c2, --q and --lewis-tol need --metric lewis"
+        raise CliError(message, EXIT_PARSE)
     # the metric's constructor validates the flag values
     try:
         if args.metric == "soft":
             return SoftThreshold(lam=lam)
-        return RegularizedLewis(
-            lam=lam, c1=args.c1, c2=args.c2, q=args.q, tol=args.lewis_tol
-        )
+        return RegularizedLewis(lam=lam, **lewis)
     except MetricError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
 
@@ -429,7 +417,7 @@ def _warm_start(args: argparse.Namespace, gauss, target, P, x1):
 def cmd_sample(args: argparse.Namespace) -> int:
     P, gauss = _load_inputs(args)
     target = quadratic_target(gauss)
-    metric = _resolve_metric(args, target.beta)
+    metric = _resolve_metric(args, gauss, target.beta)
     if isinstance(metric, RegularizedLewis) and P.m < P.n:
         raise CliError(
             f"--metric lewis needs m >= n constraints (m={P.m}, n={P.n})", EXIT_PARSE
@@ -480,19 +468,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     # every chain has finished, so a failing chain leaves no output behind.
     with _in_processes(chain_text, range(args.chains)) as texts:
         _write_outputs(zip(paths, texts))
-    return EXIT_OK
-
-
-def cmd_precondition(args: argparse.Namespace) -> int:
-    P, gauss = _load_inputs(args)
-    P_new, transform = precondition_gaussian(gauss, P)
-    manifest = _manifest(args)
-    _write_outputs(
-        [
-            (args.out_polytope, manifest + serialize_polytope(P_new)),
-            (args.out_transform, manifest + serialize_transform(transform)),
-        ]
-    )
     return EXIT_OK
 
 
@@ -625,16 +600,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_metric_flags(p):
         p.add_argument("--metric", choices=["soft", "lewis"], default="soft")
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
+        p.add_argument(
+            "--lambda",
+            dest="lam",
+            type=float,
+            default=None,
+            help="regularize with lambda I (default: with the Gaussian's Sigma^-1)",
+        )
         p.add_argument(
             "--lambda-from-beta",
             action="store_true",
-            help="set the regularization to the target smoothness beta",
+            help="regularize with beta I, beta the target smoothness",
         )
-        p.add_argument("--c1", type=float, default=1.0)
-        p.add_argument("--c2", type=float, default=0.0)
+        # Lewis metric only; None leaves RegularizedLewis's default
+        p.add_argument("--c1", type=float, default=None)
+        p.add_argument("--c2", type=float, default=None)
         p.add_argument("--q", type=int, default=None)
-        p.add_argument("--lewis-tol", type=float, default=1e-8)
+        p.add_argument("--lewis-tol", type=float, default=None)
 
     p = sub.add_parser("sample", help="run the walk and write samples CSV")
     add_polytope_gaussian(p)
@@ -653,12 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("precondition", help="affine-reduce a truncated Gaussian")
-    add_polytope_gaussian(p)
-    p.add_argument("--out-polytope", required=True)
-    p.add_argument("--out-transform", required=True)
-    p.set_defaults(func=cmd_precondition)
 
     p = sub.add_parser("warmstart", help="construct the warm-start ball")
     add_polytope_gaussian(p)

@@ -114,8 +114,8 @@ def rejection_oracle(
 ) -> OracleSamples:
     """Exact i.i.d. N(mu, Sigma) | K samples by sample-and-filter.
 
-    Aborts after 100 consecutive empty batches of 10^4 draws (acceptance too
-    low; precondition or shrink the instance).
+    Aborts after 100 consecutive empty batches of 10^4 draws: K holds too
+    little of the Gaussian's mass, which no affine change of variables alters.
     """
     if N <= 0:
         raise DiagnosticsError("N must be positive")
@@ -133,7 +133,7 @@ def rejection_oracle(
             if empty_batches >= 100:
                 raise DiagnosticsError(
                     "rejection oracle acceptance too low; "
-                    "precondition or use a smaller instance"
+                    "use a smaller instance or one with more Gaussian mass in K"
                 )
         else:
             empty_batches = 0

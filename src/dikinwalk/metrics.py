@@ -1,4 +1,8 @@
-"""Local metrics G(x) = H(x) + lambda I, their factors, and Lewis weights."""
+"""Local metrics G(x) = H(x) + Lambda, their factors, and Lewis weights.
+
+The regularizer Lambda is lam I for a scalar lam, or an SPD matrix lam, such
+as a Gaussian target's precision Sigma^{-1}.
+"""
 
 from __future__ import annotations
 
@@ -42,30 +46,52 @@ def default_lewis_q(m: int) -> int:
     return q if q % 2 == 0 else q + 1
 
 
+def _regularizer(lam) -> float | np.ndarray:
+    """lam as a float, or as a symmetrized float matrix.
+
+    Raises MetricError unless lam is a positive finite scalar or a square,
+    finite, symmetric (to 1e-12 relative) and positive-definite matrix.
+    """
+    if np.ndim(lam) == 0:
+        if not 0 < lam < math.inf:
+            raise MetricError("lambda must be positive and finite")
+        return float(lam)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+        raise MetricError("a matrix regularizer must be square")
+    if not np.isfinite(lam).all():
+        raise MetricError("a matrix regularizer must be finite")
+    if np.abs(lam - lam.T).max() > 1e-12 * max(1.0, float(np.abs(lam).max())):
+        raise MetricError("a matrix regularizer must be symmetric")
+    lam = 0.5 * (lam + lam.T)
+    if dpotrf(lam, lower=1, clean=0)[1] > 0:
+        raise MetricError("a matrix regularizer must be positive definite")
+    return lam
+
+
 @dataclass(frozen=True)
 class SoftThreshold:
-    """Log-barrier Hessian of the polytope plus lam * I."""
+    """Log-barrier Hessian of the polytope plus lam * I, or plus lam if a matrix."""
 
-    lam: float
+    lam: float | np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise MetricError("lambda must be positive and finite")
+        object.__setattr__(self, "lam", _regularizer(self.lam))
 
 
 @dataclass(frozen=True)
 class RegularizedLewis:
-    """Lewis-weighted barrier Hessian scaled by c1 sqrt(n) (log m)^c2, plus lam * I."""
+    """Lewis-weighted barrier Hessian scaled by c1 sqrt(n) (log m)^c2, plus
+    lam * I, or plus lam if a matrix."""
 
-    lam: float
+    lam: float | np.ndarray
     c1: float = 1.0
     c2: float = 0.0
     q: int | None = None  # None -> default_lewis_q(m)
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise MetricError("lambda must be positive and finite")
+        object.__setattr__(self, "lam", _regularizer(self.lam))
         # written so that a NaN fails them too
         if not (0 < self.c1 < math.inf and 0 <= self.c2 < math.inf):
             raise MetricError("need finite c1 > 0 and c2 >= 0")
@@ -261,7 +287,10 @@ def lewis_weights(
 def evaluate_metric(
     P: Polytope, x: np.ndarray, kind: MetricKind, s: np.ndarray | None = None
 ) -> MetricEval:
-    """G(x) = H(x) + lam I at interior x, with its factor and log det.
+    """G(x) = H(x) + Lambda at interior x, with its factor and log det.
+
+    Lambda is kind.lam * I for a scalar lam and kind.lam itself for a matrix,
+    which must be n x n.
 
     With A_x = S^{-1} A (S the diagonal of the slacks), the kind picks only
     the barrier term H:
@@ -291,6 +320,13 @@ def evaluate_metric(
         G = scale * (Ax.T @ (lw.w[:, None] * Ax))
     else:
         raise MetricError(f"unknown metric kind {kind!r}")
-    _diagonal(G)[:] += kind.lam
+    lam = kind.lam
+    if isinstance(lam, np.ndarray):
+        if lam.shape != G.shape:
+            k = lam.shape[0]
+            raise MetricError(f"regularizer is {k} x {k}, need n = {P.n}")
+        G += lam
+    else:
+        _diagonal(G)[:] += lam
     Q, logdet = _cholesky_upper(G)
     return MetricEval(G=G, Q=Q, logdet=logdet)

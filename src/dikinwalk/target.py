@@ -1,4 +1,4 @@
-"""Unnormalized targets pi(x) = 1_K(x) exp(-f(x)) and Gaussian preconditioning."""
+"""Unnormalized targets pi(x) = 1_K(x) exp(-f(x)) and Gaussian parameters."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Callable
 import numpy as np
 
 from dikinwalk._lapack import dpotrf, dpotrs
-from dikinwalk.polytope import Polytope
 
 
 class TargetError(ValueError):
@@ -74,39 +73,17 @@ class GaussianTarget:
         return self.mu.shape[0]
 
     @property
-    def Sigma_half(self) -> np.ndarray:
-        """Symmetric PSD square root of Sigma (eigendecomposition)."""
-        w, V = np.linalg.eigh(self.Sigma)
-        return (V * np.sqrt(w)) @ V.T
+    def precision(self) -> np.ndarray:
+        """Sigma^{-1}, symmetrized, from LAPACK's Cholesky factor of Sigma.
 
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """y -> L y + shift, mapping preconditioned coordinates back to originals."""
-
-    L: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
-        shift = np.asarray(self.shift, dtype=float).reshape(-1)
-        if L.shape != (shift.shape[0], shift.shape[0]):
-            raise TargetError("L shape does not match shift")
-        if not np.all(np.isfinite(L)):
-            raise TargetError("L must be finite")
-        if not np.all(np.isfinite(shift)):
-            raise TargetError("shift must be finite")
-        # rank is scale-free: det underflows to 0 for a small, well-conditioned L
-        if np.linalg.matrix_rank(L) != L.shape[0]:
-            raise TargetError("L must be invertible")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "shift", shift)
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.L @ np.asarray(y, dtype=float) + self.shift
-
-    def inverse_apply(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.L, np.asarray(x, dtype=float) - self.shift)
+        The walk with G(x) = H(x) + Sigma^{-1} is the lam = 1 walk on the
+        whitened problem, y = L^{-1} (x - mu) with L L^T = Sigma, seen in x.
+        """
+        c, info = dpotrf(self.Sigma, lower=1, clean=0)
+        if info > 0:
+            raise TargetError("Sigma is not positive definite")
+        inv = dpotrs(c, np.eye(self.n), lower=1)[0]
+        return 0.5 * (inv + inv.T)
 
 
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
@@ -127,29 +104,3 @@ def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
         return 0.5 * float(d @ dpotrs(c, d, lower=1)[0])
 
     return LogConcaveTarget(f=f, alpha=alpha, beta=beta)
-
-
-def precondition_gaussian(
-    G: GaussianTarget, P: Polytope
-) -> tuple[Polytope, AffineTransform]:
-    """Affine reduction to a standard-normal target.
-
-    Returns the polytope {y | (A S) y > b - A mu} with S the symmetric square
-    root of Sigma, and the transform y -> S y + mu. Sampling N(0, I) truncated
-    on the new polytope and mapping back is equivalent to sampling N(mu, Sigma)
-    truncated on P.
-    """
-    if P.n != G.n:
-        raise TargetError("polytope and Gaussian dimensions differ")
-    S = G.Sigma_half
-    A_new = P.A @ S
-    b_new = P.b - P.A @ G.mu
-    return Polytope(A=A_new, b=b_new), AffineTransform(L=S, shift=G.mu)
-
-
-def map_samples(T: AffineTransform, samples: np.ndarray) -> np.ndarray:
-    """Apply the transform row-wise: each y becomes L y + shift."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[1] != T.shift.shape[0]:
-        raise TargetError("sample dimension does not match transform")
-    return samples @ T.L.T + T.shift

@@ -36,6 +36,19 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------- criterion 1
 
 def test_criterion_1_detailed_balance():
+    _detailed_balance(lambda n, rng: 1.0, "lambda = 1")
+
+
+def test_criterion_1_detailed_balance_matrix_regularizer():
+    # a dense SPD regularizer, as `sample` builds from a Gaussian's Sigma^-1
+    def regularizer(n, rng):
+        B = rng.standard_normal((n, n))
+        return B @ B.T + 0.1 * np.eye(n)
+
+    _detailed_balance(regularizer, "dense SPD regularizer")
+
+
+def _detailed_balance(regularizer, label):
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     r = 0.5
@@ -48,7 +61,8 @@ def test_criterion_1_detailed_balance():
         tgt = quadratic_target(
             GaussianTarget(mu=rng.standard_normal(n) * 0.3, Sigma=np.eye(n))
         )
-        for kind in (SoftThreshold(lam=1.0), RegularizedLewis(lam=1.0)):
+        lam = regularizer(n, rng)
+        for kind in (SoftThreshold(lam=lam), RegularizedLewis(lam=lam)):
             for _ in range(25):
                 x = _interior(P, x0, rng)
                 z = _interior(P, x0, rng)
@@ -74,7 +88,7 @@ def test_criterion_1_detailed_balance():
     _verdict(
         1,
         worst <= 1e-8 and pairs_done >= 1000 and elapsed < 10.0,
-        f"max gap {worst:.2e} over {pairs_done} pairs in {elapsed:.1f}s",
+        f"{label}: max gap {worst:.2e} over {pairs_done} pairs in {elapsed:.1f}s",
     )
 
 

@@ -1,6 +1,8 @@
 import argparse
+import importlib.util
 import math
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -13,9 +15,22 @@ from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
 from dikinwalk.diagnostics import DiagnosticsError, diagnose_corpus
 from dikinwalk.metrics import LewisConvergenceError, MetricError
 from dikinwalk.planner import PlannerError
-from dikinwalk.polytope import PolytopeError, PolytopeFormatError, contains, parse_polytope
+from dikinwalk.polytope import (
+    PolytopeError,
+    PolytopeFormatError,
+    contains,
+    parse_polytope,
+    serialize_polytope,
+)
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError, TargetError
 from dikinwalk.walk import NonFiniteDensityError, WalkError
+
+# the benchmark's ESS estimator (Geyer's initial monotone sequence), by path
+_spec = importlib.util.spec_from_file_location(
+    "bench_ess", pathlib.Path(__file__).resolve().parents[1] / "bench" / "ess.py"
+)
+ESS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ESS)
 
 ORTHANT2 = "2 2\n1 0\n0 1\n0 0\n"
 STD2 = "2\n0 0\n1 0\n0 1\n"
@@ -74,9 +89,7 @@ def test_non_finite_gaussian_exits_2(files, gaussian, command):
     assert main(argv) == 2
 
 
-@pytest.mark.parametrize(
-    "command", ["sample", "precondition", "warmstart", "budget", "oracle"]
-)
+@pytest.mark.parametrize("command", ["sample", "warmstart", "budget", "oracle"])
 def test_gaussian_of_another_dimension_exits_2(files, command, capsys):
     tmp, poly, _ = files
     gauss = tmp / "std3.txt"
@@ -84,8 +97,6 @@ def test_gaussian_of_another_dimension_exits_2(files, command, capsys):
     argv = [command, "--polytope", poly, "--gaussian", str(gauss)]
     argv += {
         "sample": ["--lambda", "1", "--steps", "5", "--init-point", "1", "1"],
-        "precondition": ["--out-polytope", str(tmp / "p.txt"),
-                         "--out-transform", str(tmp / "t.txt")],
         "warmstart": ["--r-tilde", "0.1", "--outer-radius", "10"],
         "budget": ["--regime", "strong", "--m", "2", "--n", "2", "--kappa", "1",
                    "--warmness", "2", "--eps", "0.1", "--C", "1",
@@ -95,7 +106,6 @@ def test_gaussian_of_another_dimension_exits_2(files, command, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dimensions differ" in err
-    assert not list(tmp.glob("[pt].txt"))
 
 
 def test_sample_row_count_and_header(files):
@@ -124,13 +134,45 @@ def test_sample_deterministic(files):
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
 
 
-def test_sample_requires_lambda(files):
+def test_sample_without_lambda_regularizes_with_the_precision(files, capsys):
+    # STD2's Sigma^-1 is I exactly, so the default is --lambda 1, bit for bit
     _, poly, gauss = files
+    argv = ["sample", "--polytope", poly, "--gaussian", gauss,
+            "--seed", "1", "--steps", "200", "--init-point", "1", "1"]
+    bodies = []
+    for flags in ([], ["--lambda", "1"]):
+        assert main([*argv, *flags]) == 0
+        out = capsys.readouterr().out
+        bodies.append([ln for ln in out.splitlines() if not ln.startswith("# lam")])
+    assert bodies[0] == bodies[1]
+
+
+def test_sample_default_regularizer_matches_oracle_at_kappa_100(tmp_path):
+    # a rotated Sigma of condition number 100; no lambda flag, so G = H + Sigma^-1
+    n, chains = 5, 3
+    P, x0 = diagnostics.random_polytope_with_interior(n, 20, np.random.default_rng(0))
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    Sigma = Q @ np.diag(0.16 * np.logspace(0, -2, n)) @ Q.T
+    gauss = GaussianTarget(mu=np.zeros(n), Sigma=0.5 * (Sigma + Sigma.T))
+    (tmp_path / "p.txt").write_text(serialize_polytope(P))
+    (tmp_path / "g.txt").write_text(serialize_gaussian(gauss))
     code = main([
-        "sample", "--polytope", poly, "--gaussian", gauss,
-        "--seed", "1", "--steps", "10", "--init-point", "1", "1",
+        "sample", "--polytope", str(tmp_path / "p.txt"),
+        "--gaussian", str(tmp_path / "g.txt"), "--steps", "4000", "--burn-in", "500",
+        "--adapt", "--step-size", "0.5", "--no-lazy", "--chains", str(chains),
+        "--seed", "1", "--init-point", *map(str, x0), "--out", str(tmp_path / "s.csv"),
     ])
-    assert code == 2  # no silent lambda default
+    assert code == 0
+    samples = np.array([
+        [[float(v) for v in ln.split(",")] for ln in _data_lines(path) if "," in ln]
+        for path in (tmp_path / f"s_{i}.csv" for i in range(chains))
+    ])
+    oracle = diagnostics.rejection_oracle(gauss, P, 50_000, np.random.default_rng(1))
+    pooled = samples.reshape(-1, n)
+    ess = np.array([ESS.ess_chains(samples[:, :, j]) for j in range(n)])
+    se = np.sqrt(pooled.var(axis=0) / ess + oracle.samples.var(axis=0) / 50_000)
+    z = np.abs(pooled.mean(axis=0) - oracle.samples.mean(axis=0)) / se
+    assert z.max() <= 5.0, z
 
 
 def test_sample_infeasible_start(files):
@@ -330,6 +372,10 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
           for poly, start in (("{R}", ["--init-point", "1", "1"]),
                               ("{H}", ["--init-point", "1", "1"]),
                               ("{H}", ["--init-warmstart"]))),
+        # the soft metric has no Lewis knobs; these used to be ignored
+        ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-point", "1", "1", "--c1", "1e300", "--q", "3",
+         "--lewis-tol", "5"],
     ],
 )
 def test_bad_flag_values_exit_2(files, argv):
@@ -424,8 +470,6 @@ def test_numeric_flag_values_exit_with_a_documented_code(sweep_files, argv, caps
         ["oracle", "--polytope", "{P}", "--gaussian", "{G}", "--n-samples", "5",
          "--out", "{out}"],
         ["diagnose", "--trials", "20", "--out", "{out}"],
-        ["precondition", "--polytope", "{P}", "--gaussian", "{G}",
-         "--out-polytope", "{out}", "--out-transform", "{out}"],
     ],
 )
 def test_unwritable_out_exits_2(files, argv, capsys):
@@ -444,19 +488,11 @@ SAMPLE_2_CHAINS = [
 @pytest.mark.parametrize(
     "argv, directory, kept",
     [
-        (["precondition", "--polytope", "{P}", "--gaussian", "{G}",
-          "--out-polytope", "ok.txt", "--out-transform", "missing/t.txt"],
-         None, "ok.txt"),
         ([*SAMPLE_2_CHAINS, "--out", "missing/s.csv"], None, "missing/s_0.csv"),
         # renaming onto a directory fails; no other file may be renamed first
         ([*SAMPLE_2_CHAINS, "--out", "s.csv"], "s_1.csv", "s_0.csv"),
-        # the transform would silently replace the polytope
-        *((["precondition", "--polytope", "{P}", "--gaussian", "{G}",
-            "--out-polytope", "same.txt", "--out-transform", transform],
-           None, "same.txt") for transform in ("same.txt", "./same.txt")),
     ],
-    ids=["precondition", "sample", "sample-onto-directory", "one-path-twice",
-         "one-file-twice"],
+    ids=["sample", "sample-onto-directory"],
 )
 def test_multi_file_output_all_or_nothing(files, monkeypatch, argv, directory, kept):
     tmp, poly, gauss = files
@@ -705,36 +741,6 @@ def test_output_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_precondition_identity(files):
-    tmp, poly, gauss = files
-    outp, outt = tmp / "p.txt", tmp / "t.txt"
-    code = main([
-        "precondition", "--polytope", poly, "--gaussian", gauss,
-        "--out-polytope", str(outp), "--out-transform", str(outt),
-    ])
-    assert code == 0
-    assert "\n".join(_data_lines(outp)) + "\n" == ORTHANT2
-    t_rows = _data_lines(outt)
-    assert t_rows[0] == "2"
-    assert [float(v) for v in t_rows[-1].split()] == [0.0, 0.0]
-
-
-def test_precondition_tiny_covariance(tmp_path):
-    # Sigma = 1e-300 I: the transform's L = 1e-150 I has det 0.0 but is invertible
-    poly = tmp_path / "orthant3.txt"
-    poly.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n0 0 0\n")
-    gauss = tmp_path / "tiny.txt"
-    gauss.write_text(serialize_gaussian(GaussianTarget(mu=np.zeros(3),
-                                                       Sigma=1e-300 * np.eye(3))))
-    outp, outt = tmp_path / "p.txt", tmp_path / "t.txt"
-    code = main([
-        "precondition", "--polytope", str(poly), "--gaussian", str(gauss),
-        "--out-polytope", str(outp), "--out-transform", str(outt),
-    ])
-    assert code == 0
-    assert outp.exists() and outt.exists()
-
-
 def test_warmstart_block(files, capsys):
     _, poly, gauss = files
     code = main([
@@ -908,6 +914,15 @@ def test_removed_flags_are_unknown(files, argv, flag, capsys):
         main([a.format(P=poly, G=gauss) for a in argv])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_removed_precondition_command_is_an_invalid_choice(files, capsys):
+    # `sample` regularizes with Sigma^-1 in place of whitening by hand
+    _, poly, gauss = files
+    with pytest.raises(SystemExit) as exc:
+        main(["precondition", "--polytope", poly, "--gaussian", gauss])
+    assert exc.value.code == 2
+    assert "invalid choice: 'precondition'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["warmstart", "budget"])

@@ -71,6 +71,12 @@ GOLDEN = {
         "ceccf8aefbdd3c56351328738e444009c38c83e0a355f783b0bc26416ced1720",
     ],
     "oracle": "23eb63be8b5d8ec8545718034930c3185ce0cb1e37c32e17868e202006ecfc78",
+    # soft and lewis without a lambda flag, so regularized with Sigma^-1;
+    # recorded when that became the default (before, the command exited 2)
+    "precision": [
+        "f18a58d0e6648ebada1dda26eaa249544d1efafe43006f55ead7004882676c66",
+        "a6a235f2a5a077f91d82f2720d8ae29a3bdddf7186f1e58353353160a84ae659",
+    ],
     "certify": [
         "c4869dc66d27398c13bea5e7bc21d53075086e0eb8a0554d143de812a6182549",
         "c3957da358e57a004a4ed3f2be6e877939683a4af86e1b3251ed8604add86bf9",
@@ -122,6 +128,15 @@ def test_golden_sample_lewis(inputs, capsys):
     argv += ["--burn-in", "10", "--step-size", "0.9", "--seed", "3"]
     argv += ["--init-point", "0.1", "0", "0"]
     assert _cli_body_sha256(argv, capsys) == GOLDEN["lewis"]
+
+
+@pytest.mark.parametrize("case, metric", enumerate(["soft", "lewis"]))
+def test_golden_sample_precision(files, capsys, case, metric):
+    argv = ["sample", *files, "--metric", metric, "--steps", "60", "--burn-in", "20"]
+    # both rejection kinds occur for both metrics
+    argv += ["--step-size", "1.5", "--seed", "5"]
+    argv += ["--init-point", "0.1", "0", "0"]
+    assert _cli_body_sha256(argv, capsys) == GOLDEN["precision"][case]
 
 
 # warmstart without and with --x1 and --outer-radius, the default r_tilde

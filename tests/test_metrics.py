@@ -347,3 +347,48 @@ def test_given_slacks_match_computed_ones():
         np.testing.assert_array_equal(a.G, b.G)
         np.testing.assert_array_equal(a.Q, b.Q)
         assert a.logdet == b.logdet
+
+
+@pytest.mark.parametrize("kind", [SoftThreshold, RegularizedLewis])
+def test_matrix_regularizer_lam_times_identity_is_scalar_lam(kind):
+    rng = np.random.default_rng(8)
+    P = Polytope(A=rng.standard_normal((12, 4)), b=-rng.uniform(0.5, 1.0, 12))
+    x = 0.05 * rng.standard_normal(4)
+    a = evaluate_metric(P, x, kind(lam=0.3))
+    b = evaluate_metric(P, x, kind(lam=0.3 * np.eye(4)))
+    np.testing.assert_array_equal(a.G, b.G)
+    assert a.logdet == b.logdet
+
+
+def test_matrix_regularizer_is_added_whole():
+    # K = R^2, so G is the regularizer itself
+    P = Polytope(A=np.zeros((0, 2)), b=np.zeros(0))
+    lam = np.array([[2.0, 0.5], [0.5, 1.0]])
+    M = evaluate_metric(P, np.zeros(2), SoftThreshold(lam=lam))
+    np.testing.assert_array_equal(M.G, lam)
+    assert M.logdet == pytest.approx(math.log(1.75))
+
+
+@pytest.mark.parametrize(
+    "lam, match",
+    [
+        (np.ones(2), "square"),
+        (np.ones((2, 3)), "square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), "finite"),
+        (np.array([[1.0, 0.5], [0.4, 1.0]]), "symmetric"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+        (np.zeros((2, 2)), "positive definite"),
+    ],
+)
+@pytest.mark.parametrize("kind", [SoftThreshold, RegularizedLewis])
+def test_matrix_regularizer_validation(kind, lam, match):
+    with pytest.raises(MetricError, match=match):
+        kind(lam=lam)
+
+
+@pytest.mark.parametrize("kind", [SoftThreshold, RegularizedLewis])
+def test_matrix_regularizer_of_another_dimension_raises(kind):
+    P = Polytope(A=np.vstack([np.eye(2), -np.eye(2)]), b=-np.ones(4))
+    with pytest.raises(MetricError, match="regularizer is 3 x 3, need n = 2"):
+        evaluate_metric(P, np.zeros(2), kind(lam=np.eye(3)))
