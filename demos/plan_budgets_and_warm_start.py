@@ -12,7 +12,6 @@ import numpy as np
 from dikinwalk import (
     GaussianTarget,
     MixingBudgetQuery,
-    SoftThreshold,
     beyond_worst_case_budget,
     make_box,
     mixing_budget,
@@ -50,14 +49,14 @@ def main():
     )
     print(f"max f-increase over 1000 ball samples = {worst:.4f} (<= 1 guaranteed)")
 
+    # one query feeds both budgets; kappa = beta / alpha is 1 here, as it is
+    # for any Gaussian under `sample`'s default Sigma^-1 regularizer
     qry = MixingBudgetQuery(
-        regime="strong", m=P.m, n=P.n, metric=SoftThreshold(lam=1.0),
+        regime="strong", m=P.m, n=P.n, metric="soft",
         M=math.exp(logM), eps=0.1, C=1.0, kappa=target.kappa,
     )
     plain = mixing_budget(qry)
-    tuned = beyond_worst_case_budget(
-        P, target, modes, M=math.exp(logM), eps=0.1, C=1.0
-    )
+    tuned = beyond_worst_case_budget(qry, P, target, modes)
     print(f"plain budget      T = {plain}")
     print(
         f"optimized budget  T = {tuned.T} "

@@ -54,6 +54,7 @@ from dikinwalk.planner import (
     PlannerError,
     MixingBudgetQuery,
     beyond_worst_case_budget,
+    check_beyond_worst_case,
     mixing_budget,
     sample_warm_start,
     solve_modes,
@@ -506,48 +507,38 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
+    files = [args.polytope, args.gaussian]
+    if [path is not None for path in files] != [args.beyond_worst_case] * 2:
+        message = "--beyond-worst-case takes --polytope and --gaussian, which need it"
+        raise CliError(message, EXIT_PARSE)
     try:
-        metric = (
-            SoftThreshold(lam=1.0)
-            if args.metric == "soft"
-            else RegularizedLewis(lam=1.0, c2=args.c2)
-        )
         qry = MixingBudgetQuery(
             regime=args.regime,
             m=args.m,
             n=args.n,
-            metric=metric,
+            metric=args.metric,
             M=args.warmness,
             eps=args.eps,
             C=args.C,
             kappa=args.kappa,
             beta_eta=args.beta_eta,
             psi_n_sq=args.psi_n_sq,
+            c2=args.c2,
         )
-        T = mixing_budget(qry)
-    except (MetricError, PlannerError) as exc:
+        pairs = [("T", mixing_budget(qry))]
+        if args.beyond_worst_case:
+            P, gauss = _load_inputs(args)
+            check_beyond_worst_case(qry, P)
+    except PlannerError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    pairs = [("T", T)]
     if args.beyond_worst_case:
-        if args.polytope is None or args.gaussian is None:
-            raise CliError(
-                "--beyond-worst-case needs --polytope and --gaussian", EXIT_PARSE
-            )
-        P, gauss = _load_inputs(args)
-        target = quadratic_target(gauss)
         modes = solve_modes(gauss, P)
         try:
-            res = beyond_worst_case_budget(
-                P, target, modes, args.warmness, args.eps, args.C
-            )
+            res = beyond_worst_case_budget(qry, P, quadratic_target(gauss), modes)
         except PlannerError as exc:  # a budget that overflows, as in mixing_budget
             raise CliError(str(exc), EXIT_PARSE) from exc
-        pairs += [
-            ("T_beyond", res.T),
-            ("best_delta", f"{res.best_delta:.17g}"),
-            ("count", res.violated_count),
-            ("T_plain", res.plain_T),
-        ]
+        pairs += [("T_beyond", res.T), ("best_delta", f"{res.best_delta:.17g}"),
+                  ("count", res.violated_count), ("T_plain", res.plain_T)]
     _write_outputs([(args.out, _manifest(args) + _kv_block(pairs))])
     return EXIT_OK
 
@@ -651,18 +642,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_warmstart)
 
-    p = sub.add_parser("budget", help="closed-form iteration budgets")
+    p = sub.add_parser("budget", help="closed-form iteration budgets", description=(
+        "T = C (m + kappa) n log(sqrt(M)/eps) for the soft metric, strong regime. "
+        "--beyond-worst-case adds, for that walk on --polytope (of --m rows in --n "
+        "dimensions) and --gaussian, T_beyond and its delta -> infinity sentinel "
+        "T_plain; both use log(2M/eps) and radius r_hat(eps/2M), so T_plain > T "
+        "by design."))
     p.add_argument("--regime", choices=["strong", "weak"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--metric", choices=["soft", "lewis"], default="soft")
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--kappa", type=float, default=None, help="1 for `sample` with "
+                   "its default Sigma^-1; beta/alpha with --lambda-from-beta")
     p.add_argument("--beta-eta", type=float, default=None)
     p.add_argument("--psi-n-sq", type=float, default=None)
     p.add_argument("--warmness", type=float, required=True, help="warmness M")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
-    p.add_argument("--c2", type=float, default=0.0)
+    p.add_argument("--c2", type=float, default=None, help="with --metric lewis (0)")
     p.add_argument("--beyond-worst-case", action="store_true")
     p.add_argument("--polytope", default=None)
     p.add_argument("--gaussian", default=None)

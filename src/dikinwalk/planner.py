@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dikinwalk.metrics import MetricKind, RegularizedLewis, SoftThreshold
 from dikinwalk.polytope import Polytope, chord
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError
 
@@ -45,25 +44,29 @@ class WarmStartBall:
 class MixingBudgetQuery:
     """Inputs for a closed-form iteration budget.
 
-    regime is 'strong' or 'weak'; kappa applies to the strong regime,
-    beta_eta (the product beta * eta) to the weak one. psi_n_sq defaults
-    to max(1, log n).
+    regime is 'strong' or 'weak' and metric 'soft' or 'lewis'; kappa applies
+    to the strong regime, beta_eta (the product beta * eta) to the weak one,
+    and c2 (the Lewis metric's exponent of log m, None for 0) to Lewis only.
+    psi_n_sq defaults to max(1, log n).
     """
 
     regime: str
     m: int
     n: int
-    metric: MetricKind
+    metric: str
     M: float
     eps: float
     C: float
     kappa: Optional[float] = None
     beta_eta: Optional[float] = None
     psi_n_sq: Optional[float] = None
+    c2: Optional[float] = None
 
     def __post_init__(self):
         if self.regime not in ("strong", "weak"):
             raise PlannerError(f"unknown regime {self.regime!r}")
+        if self.metric not in ("soft", "lewis"):
+            raise PlannerError(f"unknown metric {self.metric!r}")
         if not 0 < self.eps < 1:
             raise PlannerError("eps must be in (0, 1)")
         if self.M < 1:
@@ -74,13 +77,17 @@ class MixingBudgetQuery:
             raise PlannerError("strong regime needs kappa")
         if self.regime == "weak" and self.beta_eta is None:
             raise PlannerError("weak regime needs beta_eta")
-        values = (self.M, self.C, self.kappa, self.beta_eta, self.psi_n_sq)
+        if self.metric == "soft" and self.c2 is not None:
+            raise PlannerError("c2 applies to the Lewis metric only")
+        values = (self.M, self.C, self.kappa, self.beta_eta, self.psi_n_sq, self.c2)
         if not all(v is None or math.isfinite(v) for v in values):
-            raise PlannerError("M, C, kappa, beta_eta and psi_n_sq must be finite")
+            raise PlannerError("M, C, kappa, beta_eta, psi_n_sq and c2 must be finite")
         if self.kappa is not None and not self.kappa >= 1:
             raise PlannerError("kappa = beta / alpha must be >= 1")
         if not all(v is None or v > 0 for v in (self.beta_eta, self.psi_n_sq)):
             raise PlannerError("beta_eta and psi_n_sq must be positive")
+        if (self.c2 or 0.0) < 0:
+            raise PlannerError("c2 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -263,10 +270,6 @@ def sample_warm_start(ball: WarmStartBall, rng: np.random.Generator) -> np.ndarr
     return ball.x0 + ball.r0 * u ** (1.0 / n) * g / norm
 
 
-def _log_term(M: float, eps: float) -> float:
-    return max(0.0, math.log(math.sqrt(M) / eps))
-
-
 def _ceil_budget(T: float) -> int:
     if not math.isfinite(T):
         raise PlannerError("budget is not finite; lower C")
@@ -281,27 +284,20 @@ def mixing_budget(qry: MixingBudgetQuery) -> int:
     psi_n^2 (n^{3/2} + beta eta)(log m)^{c2} for Lewis/weak.
     """
     n, m = qry.n, qry.m
-    lewis = isinstance(qry.metric, RegularizedLewis)
-    if lewis:
-        c2 = qry.metric.c2
+    head, log_m_pow = float(m), 1.0
+    if qry.metric == "lewis":
+        head = n**1.5
         try:
-            log_m_pow = math.log(m) ** c2 if m > 1 else 1.0
+            log_m_pow = math.log(m) ** (qry.c2 or 0.0) if m > 1 else 1.0
         except OverflowError:  # _ceil_budget rejects the infinite budget
             log_m_pow = math.inf
-        head = n**1.5
-    else:
-        if not isinstance(qry.metric, SoftThreshold):
-            raise PlannerError(f"unknown metric kind {qry.metric!r}")
-        log_m_pow = 1.0
-        head = float(m)
     if qry.regime == "strong":
         factor = (head + qry.kappa) * log_m_pow
     else:
-        psi_sq = (
-            qry.psi_n_sq if qry.psi_n_sq is not None else max(1.0, math.log(n))
-        )
+        psi_sq = qry.psi_n_sq or max(1.0, math.log(n))  # validated > 0 if given
         factor = psi_sq * (head + qry.beta_eta) * log_m_pow
-    return _ceil_budget(qry.C * factor * n * _log_term(qry.M, qry.eps))
+    log_term = max(0.0, math.log(math.sqrt(qry.M) / qry.eps))
+    return _ceil_budget(qry.C * factor * n * log_term)
 
 
 def radius_hat(s: float, n: int) -> float:
@@ -321,28 +317,34 @@ def violated_constraint_count(P: Polytope, center: np.ndarray, rho: float) -> in
     return int(np.count_nonzero(P.A @ center - P.b <= norms * rho))
 
 
+def check_beyond_worst_case(qry: MixingBudgetQuery, P: Polytope) -> None:
+    """Raise PlannerError unless qry is for the soft metric in the strong
+    regime, with P's m and n: the inputs of beyond_worst_case_budget."""
+    if qry.regime != "strong" or qry.metric != "soft":
+        raise PlannerError("beyond-worst-case budget needs soft metric, strong regime")
+    if (qry.m, qry.n) != (P.m, P.n):
+        raise PlannerError(f"m, n differ from the polytope's m = {P.m}, n = {P.n}")
+
+
 def beyond_worst_case_budget(
+    qry: MixingBudgetQuery,
     P: Polytope,
     target: LogConcaveTarget,
     modes: ModePair,
-    M: float,
-    eps: float,
-    C: float,
     delta_grid: Optional[Sequence[float]] = None,
 ) -> BudgetResult:
     """Minimize kappa n + m / delta^2 + n * (violated count) over the delta grid.
 
-    The ball is centered at the constrained mode with radius
-    (radius_hat(eps / 2M) + delta) sqrt(n / alpha). A delta -> infinity
-    sentinel (count = m, m / delta^2 = 0) recovers the plain (m + kappa) n
-    budget, returned alongside for comparison.
+    Every input but alpha (from target) comes from qry. The ball is centered
+    at the constrained mode with radius (radius_hat(eps / 2M) + delta)
+    sqrt(n / alpha). A delta -> infinity sentinel (count = m, m / delta^2 = 0)
+    gives the plain (m + kappa) n budget, returned alongside; both scale with
+    log(2M / eps), not mixing_budget's log(sqrt(M) / eps).
     """
+    check_beyond_worst_case(qry, P)
     if target.alpha <= 0:
         raise RegimeError("regime requires alpha > 0")
-    if not 0 < eps < 1 or M < 1 or C <= 0:
-        raise PlannerError("need eps in (0,1), M >= 1, C > 0")
-    n, m = P.n, P.m
-    kappa = target.kappa
+    n, m, kappa, M, eps = qry.n, qry.m, qry.kappa, qry.M, qry.eps
     ups = radius_hat(eps / (2.0 * M), n)
     scale = math.sqrt(n / target.alpha)
     log_term = max(0.0, math.log(2.0 * M / eps))
@@ -357,6 +359,6 @@ def beyond_worst_case_budget(
             best_val = val
             best_delta = float(delta)
             best_count = count
-    T = _ceil_budget(C * best_val * log_term)
-    plain_T = _ceil_budget(C * (m + kappa) * n * log_term)
+    T = _ceil_budget(qry.C * best_val * log_term)
+    plain_T = _ceil_budget(qry.C * (m + kappa) * n * log_term)
     return BudgetResult(T=T, best_delta=best_delta, violated_count=best_count, plain_T=plain_T)

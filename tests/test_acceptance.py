@@ -18,6 +18,7 @@ from dikinwalk.diagnostics import (
 )
 from dikinwalk.metrics import RegularizedLewis, SoftThreshold, evaluate_metric
 from dikinwalk.planner import (
+    MixingBudgetQuery,
     beyond_worst_case_budget,
     sample_warm_start,
     solve_modes,
@@ -305,10 +306,11 @@ def test_criterion_9_budget_dominance():
         gauss = GaussianTarget(mu=rng.standard_normal(n) * 0.2, Sigma=np.eye(n))
         target = quadratic_target(gauss)
         modes = solve_modes(gauss, P)
-        res = beyond_worst_case_budget(P, target, modes, M=10.0, eps=0.1, C=1.0)
-        sentinel = beyond_worst_case_budget(
-            P, target, modes, M=10.0, eps=0.1, C=1.0, delta_grid=[]
-        )
+        # kappa = beta / alpha = 1 for Sigma = I
+        qry = MixingBudgetQuery(regime="strong", m=P.m, n=P.n, metric="soft",
+                                M=10.0, eps=0.1, C=1.0, kappa=1.0)
+        res = beyond_worst_case_budget(qry, P, target, modes)
+        sentinel = beyond_worst_case_budget(qry, P, target, modes, delta_grid=[])
         if res.T > res.plain_T or sentinel.T != sentinel.plain_T:
             ok = False
     _verdict(9, ok, "optimized <= plain on all instances; sentinel equals plain")

@@ -376,6 +376,26 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
         ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
          "--steps", "10", "--init-point", "1", "1", "--c1", "1e300", "--q", "3",
          "--lewis-tol", "5"],
+        *(["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
+           "--warmness", "7", "--eps", "0.1", "--C", "1", *flags]
+          for flags in (
+              # the same for the budget's only Lewis knob
+              ["--metric", "soft", "--c2", "1e300"],
+              ["--metric", "soft", "--c2", "0"],
+              # the files used to be ignored without --beyond-worst-case
+              ["--polytope", "{X}", "--gaussian", "{X}"],
+              ["--polytope", "{B}"],
+              # the beyond-worst-case budget is the strong-regime soft walk's
+              # on the polytope's own m and n; these used to print one anyway
+              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
+               "--metric", "lewis"],
+              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
+               "--regime", "weak", "--beta-eta", "1"],
+              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
+               "--m", "100", "--n", "7"],
+              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
+               "--m", "5"],
+          )),
     ],
 )
 def test_bad_flag_values_exit_2(files, argv):
@@ -387,7 +407,9 @@ def test_bad_flag_values_exit_2(files, argv):
     half = tmp / "half.txt"  # x[0] > 0, m = 1
     half.write_text("2 1\n1 0\n0\n")
     out = tmp / "never.txt"
-    argv = [a.format(P=poly, B=box, G=gauss, R=plane, H=half) for a in argv]
+    missing = tmp / "missing.txt"
+    names = dict(P=poly, B=box, G=gauss, R=plane, H=half, X=missing)
+    argv = [a.format(**names) for a in argv]
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
 
@@ -402,8 +424,11 @@ SWEEP_BASES = {
                   "--r-tilde", "0.1"],
     "budget-strong": ["budget", "--regime", "strong", "--m", "2", "--n", "2",
                       "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
-                      "--metric", "lewis", "--beyond-worst-case",
+                      "--metric", "soft", "--beyond-worst-case",
                       "--polytope", "{P}", "--gaussian", "{G}"],
+    "budget-lewis": ["budget", "--regime", "strong", "--m", "2", "--n", "2",
+                     "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
+                     "--metric", "lewis"],
     "budget-weak": ["budget", "--regime", "weak", "--m", "2", "--n", "2",
                     "--beta-eta", "1", "--warmness", "2", "--eps", "0.1", "--C", "1"],
     "oracle": ["oracle", "--polytope", "{P}", "--gaussian", "{G}", "--n-samples", "5"],

@@ -7,7 +7,6 @@ import pytest
 
 from dikinwalk import planner
 from dikinwalk.diagnostics import random_polytope_with_interior
-from dikinwalk.metrics import RegularizedLewis, SoftThreshold
 from dikinwalk.planner import (
     MixingBudgetQuery,
     PlannerError,
@@ -296,7 +295,7 @@ def test_sample_warm_start_in_ball_and_symmetric():
 
 def test_mixing_budget_worked_example():
     qry = MixingBudgetQuery(
-        regime="strong", m=4, n=2, metric=SoftThreshold(lam=1.0),
+        regime="strong", m=4, n=2, metric="soft",
         M=math.e**2, eps=0.1, C=1.0, kappa=1.0,
     )
     assert mixing_budget(qry) == 34
@@ -306,11 +305,11 @@ def test_mixing_budget_zero_log_term():
     # eps = sqrt(M) would zero the log factor, but eps must stay below 1
     with pytest.raises(PlannerError):
         MixingBudgetQuery(
-            regime="strong", m=4, n=2, metric=SoftThreshold(lam=1.0),
+            regime="strong", m=4, n=2, metric="soft",
             M=4.0, eps=2.0 - 1e-12, C=1.0, kappa=1.0,
         )
     qry = MixingBudgetQuery(
-        regime="strong", m=4, n=2, metric=SoftThreshold(lam=1.0),
+        regime="strong", m=4, n=2, metric="soft",
         M=1.0 + 1e-15, eps=0.999999999, C=1.0, kappa=1.0,
     )
     assert mixing_budget(qry) <= 1
@@ -318,7 +317,7 @@ def test_mixing_budget_zero_log_term():
 
 def test_mixing_budget_linear_in_C():
     base = dict(
-        regime="strong", m=7, n=3, metric=SoftThreshold(lam=1.0),
+        regime="strong", m=7, n=3, metric="soft",
         M=10.0, eps=0.05, kappa=2.0,
     )
     t1 = mixing_budget(MixingBudgetQuery(C=1.0, **base))
@@ -329,7 +328,7 @@ def test_mixing_budget_linear_in_C():
 def test_mixing_budget_monotone():
     def T(**kw):
         base = dict(
-            regime="strong", m=8, n=3, metric=SoftThreshold(lam=1.0),
+            regime="strong", m=8, n=3, metric="soft",
             M=20.0, eps=0.05, C=1.0, kappa=2.0,
         )
         base.update(kw)
@@ -344,41 +343,38 @@ def test_mixing_budget_monotone():
 
 
 def test_mixing_budget_all_regimes():
-    lewis = RegularizedLewis(lam=1.0, c1=1.0, c2=1.0)
-    soft = SoftThreshold(lam=1.0)
     n, m = 4, 20
     log_term = math.log(math.sqrt(9.0) / 0.1)
     assert mixing_budget(
-        MixingBudgetQuery(regime="strong", m=m, n=n, metric=lewis, M=9.0,
+        MixingBudgetQuery(regime="strong", m=m, n=n, metric="lewis", c2=1.0, M=9.0,
                           eps=0.1, C=1.0, kappa=3.0)
     ) == math.ceil((n**1.5 + 3.0) * math.log(m) * n * log_term)
     psi = max(1.0, math.log(n))
     assert mixing_budget(
-        MixingBudgetQuery(regime="weak", m=m, n=n, metric=soft, M=9.0,
+        MixingBudgetQuery(regime="weak", m=m, n=n, metric="soft", M=9.0,
                           eps=0.1, C=1.0, beta_eta=2.0)
     ) == math.ceil(psi * (m + 2.0) * n * log_term)
     assert mixing_budget(
-        MixingBudgetQuery(regime="weak", m=m, n=n, metric=lewis, M=9.0,
+        MixingBudgetQuery(regime="weak", m=m, n=n, metric="lewis", c2=1.0, M=9.0,
                           eps=0.1, C=1.0, beta_eta=2.0)
     ) == math.ceil(psi * (n**1.5 + 2.0) * math.log(m) * n * log_term)
 
 
 def test_budget_query_validation():
-    soft = SoftThreshold(lam=1.0)
     with pytest.raises(PlannerError):
-        MixingBudgetQuery(regime="strong", m=4, n=2, metric=soft, M=2.0,
+        MixingBudgetQuery(regime="strong", m=4, n=2, metric="soft", M=2.0,
                           eps=0.1, C=1.0)  # missing kappa
     with pytest.raises(PlannerError):
-        MixingBudgetQuery(regime="weak", m=4, n=2, metric=soft, M=2.0,
+        MixingBudgetQuery(regime="weak", m=4, n=2, metric="soft", M=2.0,
                           eps=0.1, C=1.0)  # missing beta_eta
     with pytest.raises(PlannerError):
-        MixingBudgetQuery(regime="medium", m=4, n=2, metric=soft, M=2.0,
+        MixingBudgetQuery(regime="medium", m=4, n=2, metric="soft", M=2.0,
                           eps=0.1, C=1.0, kappa=1.0)
     with pytest.raises(PlannerError):
-        MixingBudgetQuery(regime="strong", m=4, n=2, metric=soft, M=0.5,
+        MixingBudgetQuery(regime="strong", m=4, n=2, metric="soft", M=0.5,
                           eps=0.1, C=1.0, kappa=1.0)
     # non-finite values used to reach math.ceil and fail there
-    good = dict(regime="weak", m=4, n=2, metric=soft, M=2.0, eps=0.1, C=1.0,
+    good = dict(regime="weak", m=4, n=2, metric="soft", M=2.0, eps=0.1, C=1.0,
                 kappa=1.0, beta_eta=1.0, psi_n_sq=1.0)
     for field in ("M", "C", "kappa", "beta_eta", "psi_n_sq"):
         for bad in (math.nan, math.inf):
@@ -392,18 +388,17 @@ def test_budget_query_validation():
 
 
 def test_budgets_that_overflow_raise():
-    qry = MixingBudgetQuery(regime="strong", m=4, n=2, metric=SoftThreshold(lam=1.0),
+    qry = MixingBudgetQuery(regime="strong", m=4, n=2, metric="soft",
                             M=7.0, eps=0.1, C=1e308, kappa=1.0)
     with pytest.raises(PlannerError, match="not finite"):
         mixing_budget(qry)
-    lewis = RegularizedLewis(lam=1.0, c2=1e308)  # (log m)^c2 overflows
-    with pytest.raises(PlannerError, match="not finite"):
-        mixing_budget(dataclasses.replace(qry, metric=lewis, C=1.0))
+    with pytest.raises(PlannerError, match="not finite"):  # (log m)^c2 overflows
+        mixing_budget(dataclasses.replace(qry, metric="lewis", c2=1e308, C=1.0))
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError, match="not finite"):
-        beyond_worst_case_budget(P, _std_normal_target(2), modes, M=10.0, eps=0.1,
-                                 C=1e308)
+        beyond_worst_case_budget(dataclasses.replace(qry, M=10.0), P,
+                                 _std_normal_target(2), modes)
 
 
 def test_radius_hat_values():
@@ -437,17 +432,23 @@ def test_violated_constraint_count_monotone_in_rho():
     assert prev == P.m  # large enough balls hit everything
 
 
+def _soft_query(P, kappa=1.0, M=10.0):
+    """The strong-regime soft-metric query for P at eps = 0.1 and C = 1."""
+    return MixingBudgetQuery(regime="strong", m=P.m, n=P.n, metric="soft", M=M,
+                             eps=0.1, C=1.0, kappa=kappa)
+
+
 def test_beyond_worst_case_sentinel_and_bound():
     rng = np.random.default_rng(19)
     for _ in range(10):
         P, _ = random_polytope_with_interior(3, 7, rng)
         target = _std_normal_target(3)
         modes = solve_modes(_std_normal(3), P)
-        res = beyond_worst_case_budget(P, target, modes, M=10.0, eps=0.1, C=1.0)
+        res = beyond_worst_case_budget(_soft_query(P), P, target, modes)
         assert res.T <= res.plain_T
         # empty grid leaves only the delta -> infinity sentinel
         sent = beyond_worst_case_budget(
-            P, target, modes, M=10.0, eps=0.1, C=1.0, delta_grid=[]
+            _soft_query(P), P, target, modes, delta_grid=[]
         )
         assert sent.T == sent.plain_T
         assert math.isinf(sent.best_delta)
@@ -461,7 +462,7 @@ def test_beyond_worst_case_deep_center():
     P = make_box([-side] * 2, [side] * 2)
     target = _std_normal_target(2)
     modes = solve_modes(_std_normal(2), P)
-    res = beyond_worst_case_budget(P, target, modes, M=10.0, eps=0.1, C=1.0)
+    res = beyond_worst_case_budget(_soft_query(P), P, target, modes)
     assert res.violated_count == 0
     assert res.best_delta == pytest.approx(1000.0)
     n, m, kappa = 2, 4, 1.0
@@ -470,3 +471,45 @@ def test_beyond_worst_case_deep_center():
     )
     assert res.T == expected
     assert res.T < res.plain_T
+
+
+def test_beyond_worst_case_takes_kappa_from_the_query():
+    # under sample's default Sigma^-1 regularizer kappa is 1 whatever Sigma's
+    # condition number (here 100): the budget used to read beta / alpha off
+    # the target and print T_plain = 1572
+    P = make_box([-1.0] * 3, [1.0] * 3)
+    gauss = GaussianTarget(mu=np.zeros(3), Sigma=np.diag([1.0, 100.0, 1.0]))
+    res = beyond_worst_case_budget(
+        _soft_query(P, M=7.0), P, quadratic_target(gauss), solve_modes(gauss, P)
+    )
+    m, n = 6, 3
+    assert res.plain_T == math.ceil((m + 1) * n * math.log(2 * 7.0 / 0.1)) == 104
+    assert res.T == 104
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(metric="lewis"), dict(regime="weak", beta_eta=1.0), dict(m=100), dict(n=7)],
+    ids=["lewis", "weak", "m", "n"],
+)
+def test_beyond_worst_case_needs_a_strong_soft_query_of_the_polytope(change):
+    P = make_box([-1.0] * 3, [1.0] * 3)
+    qry = dataclasses.replace(_soft_query(P), **change)
+    modes = solve_modes(_std_normal(3), P)
+    with pytest.raises(PlannerError):
+        beyond_worst_case_budget(qry, P, _std_normal_target(3), modes)
+
+
+def test_budget_query_metric_and_c2():
+    base = dict(regime="strong", m=4, n=2, M=2.0, eps=0.1, C=1.0, kappa=1.0)
+    with pytest.raises(PlannerError, match="unknown metric"):
+        MixingBudgetQuery(metric="barrier", **base)
+    # c2 is the Lewis metric's exponent of log m; the soft metric has none
+    for c2 in (0.0, 1.5):
+        with pytest.raises(PlannerError, match="Lewis metric only"):
+            MixingBudgetQuery(metric="soft", c2=c2, **base)
+    for c2 in (-1.0, math.nan, math.inf):
+        with pytest.raises(PlannerError):
+            MixingBudgetQuery(metric="lewis", c2=c2, **base)
+    lewis = MixingBudgetQuery(metric="lewis", **base)
+    assert mixing_budget(lewis) == mixing_budget(dataclasses.replace(lewis, c2=0.0))
