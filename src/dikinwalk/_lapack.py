@@ -7,6 +7,8 @@ namespace over numpy and imports numpy.f2py, numpy.testing, numpy.ma and
 more: ~0.25 s and ~23 MB in every process, and every command factors a
 matrix. So the extension is loaded straight from its file and registered
 under its own name, where a later `import scipy.linalg` finds and reuses it.
+Every Cholesky factorization in the package is this dpotrf; numpy's linalg
+serves only eigvalsh, norms and lewis_fixed_point_residual's reference solve.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dikinwalk._lapack import dtrtrs
+from dikinwalk._lapack import dpotrf, dtrtrs
 from dikinwalk.metrics import (
     MetricEval,
     MetricKind,
@@ -112,19 +112,18 @@ def hilbert(P: Polytope, x: np.ndarray, y: np.ndarray) -> float:
 def rejection_oracle(
     G, P: Polytope, N: int, rng: np.random.Generator, batch: int = 10000
 ) -> OracleSamples:
-    """Exact i.i.d. N(mu, Sigma) | K samples by sample-and-filter.
+    """Exact i.i.d. N(mu, Sigma) | K samples: mu + G.L z, z ~ N(0, I), kept in K.
 
     Aborts after 100 consecutive empty batches of 10^4 draws: K holds too
     little of the Gaussian's mass, which no affine change of variables alters.
     """
     if N <= 0:
         raise DiagnosticsError("N must be positive")
-    L = np.linalg.cholesky(G.Sigma)
     kept = []
     total = accepted = 0
     empty_batches = 0
     while accepted < N:
-        draws = G.mu + rng.standard_normal((batch, G.n)) @ L.T
+        draws = G.mu + rng.standard_normal((batch, G.n)) @ G.L.T
         mask = np.all(draws @ P.A.T - P.b > 0.0, axis=1)
         total += batch
         got = int(mask.sum())
@@ -260,28 +259,25 @@ def certify_symmetry(
         s = slack(P, x)
         Ax = P.A / s[:, None]
         H = Ax.T @ Ax
-        try:
-            Lh = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            # rank-deficient H (m < n directions unconstrained): skip (a),
-            # part (b) still applies through the quadratic form
-            Lh = None
-        if Lh is not None:
-            u = rng.standard_normal(n)
-            # pull fractionally inside the boundary sphere: the ellipsoid can
-            # touch the facets, and membership is strict
-            u *= (1.0 - 1e-9) / np.linalg.norm(u)
-            z = x + _upper_solve(Lh.T, u)
-            ok = contains(P, z) and contains(P, 2.0 * x - z)
-            report.record(1.0 if not ok else 0.0, ok, note="unit H-ellipsoid left K")
-            # rejection sample the symmetrized body inside an inflated ellipsoid
-            v = rng.standard_normal(n)
-            v *= rng.uniform() ** (1.0 / n) / np.linalg.norm(v)
-            z = x + 1.1 * math.sqrt(m) * _upper_solve(Lh.T, v)
-            if contains(P, z) and contains(P, 2.0 * x - z):
-                hn_sq = float(np.linalg.norm(Lh.T @ (z - x)) ** 2)
-                ok = hn_sq <= m + 1e-9
-                report.record(hn_sq / m, ok, note=f"|z-x|_H^2 = {hn_sq:.6f} > m = {m}")
+        # H = U^T U, U upper-triangular and F-ordered, as _upper_solve wants
+        U, info = dpotrf(H, lower=0, clean=1)
+        if info > 0:  # rank-deficient H: m < n leaves directions unconstrained
+            continue
+        u = rng.standard_normal(n)
+        # pull fractionally inside the boundary sphere: the ellipsoid can
+        # touch the facets, and membership is strict
+        u *= (1.0 - 1e-9) / np.linalg.norm(u)
+        z = x + _upper_solve(U, u)
+        ok = contains(P, z) and contains(P, 2.0 * x - z)
+        report.record(1.0 if not ok else 0.0, ok, note="unit H-ellipsoid left K")
+        # rejection sample the symmetrized body inside an inflated ellipsoid
+        v = rng.standard_normal(n)
+        v *= rng.uniform() ** (1.0 / n) / np.linalg.norm(v)
+        z = x + 1.1 * math.sqrt(m) * _upper_solve(U, v)
+        if contains(P, z) and contains(P, 2.0 * x - z):
+            hn_sq = float(np.linalg.norm(U @ (z - x)) ** 2)
+            ok = hn_sq <= m + 1e-9
+            report.record(hn_sq / m, ok, note=f"|z-x|_H^2 = {hn_sq:.6f} > m = {m}")
     return report
 
 

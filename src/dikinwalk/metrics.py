@@ -129,7 +129,7 @@ def _cholesky_upper(G: np.ndarray) -> tuple[np.ndarray, float]:
     The jitter goes onto G's diagonal in place, so G stays the matrix that
     was factored.
     """
-    # scipy's LAPACK called directly: a quarter of np.linalg.cholesky's cost
+    # scipy's LAPACK called directly: a quarter of the cost of numpy's cholesky
     # at n = 10 (no validation or gufunc wrapping) and no slower at n = 100.
     # dpotrf copies G, so G is kept; clean=1 zeroes the strict lower
     # triangle, because log_accept_ratio multiplies by the full Q

@@ -123,6 +123,8 @@ def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     # (x - y) / t, t the largest distance to a violated half-space
     t = max(1.0, float(np.max(h / np.linalg.norm(A, axis=1))))
     E = np.vstack([A.T, h / t])
+    if not np.all(np.isfinite(E)):  # nnls raises a bare ValueError on inf/nan
+        raise PlannerError("least-distance system is not finite")
     e = np.eye(n + 1)[n]
     try:
         u = nnls(E, e)[0]
@@ -141,14 +143,15 @@ def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
 def solve_modes(gauss: GaussianTarget, P: Polytope) -> ModePair:
     """Modes of N(mu, Sigma) on the closure of K: x_star = mu, and x_dag the
     point of the closure nearest to mu in the Sigma^{-1} norm, that is mu + L z
-    with Sigma = L L^T and z the least-norm point of {z | (A L) z >= b - A mu}.
+    with L = gauss.L and z the least-norm point of {z | (A L) z >= b - A mu}.
     """
     mu = P._check_dim(gauss.mu).copy()
-    if np.all(P.A @ mu - P.b >= 0.0):
-        return ModePair(x_star=mu, x_dag=mu)
-    L = np.linalg.cholesky(gauss.Sigma)
-    z = _nearest_point(P.A @ L, P.b - P.A @ mu, np.zeros(P.n))
-    return ModePair(x_star=mu, x_dag=mu + L @ z)
+    # A mu can overflow; _nearest_point rejects the system that comes out
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.all(P.A @ mu - P.b >= 0.0):
+            return ModePair(x_star=mu, x_dag=mu)
+        z = _nearest_point(P.A @ gauss.L, P.b - P.A @ mu, np.zeros(P.n))
+    return ModePair(x_star=mu, x_dag=mu + gauss.L @ z)
 
 
 def _estimate_outer_radius(P: Polytope, x1: np.ndarray) -> float:
@@ -176,7 +179,9 @@ def warm_start_center(P: Polytope, x_dag: np.ndarray, r_tilde: float) -> np.ndar
         return x_dag
     norms = np.linalg.norm(P.A, axis=1)
     try:
-        return _nearest_point(P.A, P.b + r_tilde * norms, x_dag)
+        # r_tilde |a_i| can overflow; _nearest_point rejects the system
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _nearest_point(P.A, P.b + r_tilde * norms, x_dag)
     except PlannerError:
         raise PlannerError(f"found no ball of radius r_tilde = {r_tilde:g} in K")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,10 +46,12 @@ class LogConcaveTarget:
 
 @dataclass(frozen=True)
 class GaussianTarget:
-    """Mean and covariance of an (untruncated) multivariate Gaussian."""
+    """Mean and covariance of an (untruncated) multivariate Gaussian, and L,
+    the one Cholesky factor of Sigma (L L^T = Sigma) that all code uses."""
 
     mu: np.ndarray
     Sigma: np.ndarray
+    L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -61,12 +63,14 @@ class GaussianTarget:
         scale = max(1.0, float(np.abs(Sigma).max()))
         if np.abs(Sigma - Sigma.T).max() > 1e-12 * scale:
             raise TargetError("Sigma must be symmetric")
-        try:
-            np.linalg.cholesky(Sigma)
-        except np.linalg.LinAlgError:
-            raise TargetError("Sigma is not positive definite") from None
+        Sigma = 0.5 * (Sigma + Sigma.T)
+        # the lower triangle as cho_factor's; clean=1 zeroes the upper one
+        L, info = dpotrf(Sigma, lower=1, clean=1)
+        if info > 0:
+            raise TargetError("Sigma is not positive definite")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "Sigma", 0.5 * (Sigma + Sigma.T))
+        object.__setattr__(self, "Sigma", Sigma)
+        object.__setattr__(self, "L", L)
 
     @property
     def n(self) -> int:
@@ -74,26 +78,18 @@ class GaussianTarget:
 
     @property
     def precision(self) -> np.ndarray:
-        """Sigma^{-1}, symmetrized, from LAPACK's Cholesky factor of Sigma.
+        """Sigma^{-1}, symmetrized, solved from L.
 
         The walk with G(x) = H(x) + Sigma^{-1} is the lam = 1 walk on the
-        whitened problem, y = L^{-1} (x - mu) with L L^T = Sigma, seen in x.
+        whitened problem, y = L^{-1} (x - mu), seen in x.
         """
-        c, info = dpotrf(self.Sigma, lower=1, clean=0)
-        if info > 0:
-            raise TargetError("Sigma is not positive definite")
-        inv = dpotrs(c, np.eye(self.n), lower=1)[0]
+        inv = dpotrs(self.L, np.eye(self.n), lower=1)[0]
         return 0.5 * (inv + inv.T)
 
 
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
     """f(x) = (1/2)(x - mu)^T Sigma^{-1} (x - mu)."""
-    # LAPACK potrf as cho_factor calls it; the strict upper triangle of c is
-    # left as Sigma's, and potrs reads only the lower one
-    c, info = dpotrf(G.Sigma, lower=1, clean=0)
-    if info > 0:
-        raise TargetError("Sigma is not positive definite")
-    mu = G.mu
+    L, mu = G.L, G.mu
     evals = np.linalg.eigvalsh(G.Sigma)
     alpha = 1.0 / float(evals.max())
     beta = 1.0 / float(evals.min())
@@ -101,6 +97,6 @@ def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
     def f(x: np.ndarray) -> float:
         # LAPACK potrs directly, as cho_solve does minus its validation wrappers
         d = np.asarray(x, dtype=float) - mu
-        return 0.5 * float(d @ dpotrs(c, d, lower=1)[0])
+        return 0.5 * float(d @ dpotrs(L, d, lower=1)[0])
 
     return LogConcaveTarget(f=f, alpha=alpha, beta=beta)

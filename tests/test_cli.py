@@ -34,6 +34,8 @@ _spec.loader.exec_module(ESS)
 
 ORTHANT2 = "2 2\n1 0\n0 1\n0 0\n"
 STD2 = "2\n0 0\n1 0\n0 1\n"
+# (-1, 1)^2 with rows +-1e20 e_i: b + r_tilde |a_i| overflows for a huge r_tilde
+SCALED_BOX2 = "2 4\n1e20 0\n-1e20 0\n0 1e20\n0 -1e20\n-1e20 -1e20 -1e20 -1e20\n"
 
 
 @pytest.fixture
@@ -433,6 +435,10 @@ SWEEP_BASES = {
                     "--beta-eta", "1", "--warmness", "2", "--eps", "0.1", "--C", "1"],
     "oracle": ["oracle", "--polytope", "{P}", "--gaussian", "{G}", "--n-samples", "5"],
     "diagnose": ["diagnose", "--trials", "20"],
+    "warmstart-scaled": ["warmstart", "--polytope", "{S}", "--gaussian", "{G}",
+                         "--r-tilde", "0.1"],
+    "sample-scaled": ["sample", "--polytope", "{S}", "--gaussian", "{G}", "--lambda", "1",
+                      "--steps", "5", "--init-warmstart"],
 }
 SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e-10", "3")
 
@@ -468,15 +474,16 @@ def sweep_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sweep")
     (tmp / "orthant2.txt").write_text(ORTHANT2)
     (tmp / "std2.txt").write_text(STD2)
-    return str(tmp / "orthant2.txt"), str(tmp / "std2.txt")
+    (tmp / "scaled.txt").write_text(SCALED_BOX2)
+    return str(tmp / "orthant2.txt"), str(tmp / "std2.txt"), str(tmp / "scaled.txt")
 
 
 @pytest.mark.parametrize("argv", _sweep_cases())
 def test_numeric_flag_values_exit_with_a_documented_code(sweep_files, argv, capsys):
     # no traceback, whatever the value: an exit code of the documented ones
     # and at most one line on stderr
-    poly, gauss = sweep_files
-    code = main([a.format(P=poly, G=gauss) for a in argv])
+    poly, gauss, scaled = sweep_files
+    code = main([a.format(P=poly, G=gauss, S=scaled) for a in argv])
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3, 4)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
@@ -821,6 +828,24 @@ def test_warm_start_without_room_names_r_tilde(tmp_path, command, capsys):
         argv += ["--outer-radius", "1"]
     assert main(argv) == 4
     assert "--r-tilde" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["warmstart", "sample"])
+def test_warm_start_on_an_overflowing_system_exits_4(files, command, capsys):
+    # the least-distance system is not finite; nnls once raised a ValueError
+    # whose traceback ended the run with exit 1
+    tmp, _, gauss = files
+    poly = tmp / "scaled.txt"
+    poly.write_text(SCALED_BOX2)
+    out = tmp / "never.txt"
+    argv = [command, "--polytope", str(poly), "--gaussian", gauss,
+            "--r-tilde", "1e300", "--out", str(out)]
+    if command == "sample":
+        argv += ["--steps", "5", "--init-warmstart"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: found no ball") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_warm_start_below_the_old_absolute_slack(files, capsys):

@@ -275,6 +275,22 @@ def test_warm_start_center_moves_a_boundary_mode_inside():
         warm_start_center(make_box([0.0, 0.0], [0.1, 0.1]), modes.x_dag, 0.1)
 
 
+def test_warm_start_center_on_a_non_finite_system_raises_planner_error():
+    # (-1, 1)^2 with rows +-1e20 e_i: b + r_tilde |a_i| overflows to inf,
+    # which nnls would reject with a bare ValueError
+    A = 1e20 * np.vstack([np.eye(2), -np.eye(2)])
+    P = Polytope(A=A, b=np.full(4, -1e20))
+    with pytest.raises(PlannerError, match="r_tilde"):
+        warm_start_center(P, np.zeros(2), 1e300)
+
+
+def test_modes_on_a_non_finite_system_raise_planner_error():
+    # x[0] > 1 written as 1e300 x[0] > 1e300: A mu overflows for a far mu
+    P = Polytope(A=np.array([[1e300, 0.0]]), b=np.array([1e300]))
+    with pytest.raises(PlannerError, match="not finite"):
+        solve_modes(_std_normal(2, mu=[-1e10, 0.0]), P)
+
+
 def test_sample_warm_start_zero_radius_limit():
     from dikinwalk.planner import WarmStartBall
 

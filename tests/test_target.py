@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from dikinwalk import target
+from dikinwalk._lapack import dpotrf
+from dikinwalk.diagnostics import rejection_oracle
+from dikinwalk.planner import solve_modes
+from dikinwalk.polytope import make_box
 from dikinwalk.target import (
     GaussianTarget,
     LogConcaveTarget,
@@ -46,14 +51,6 @@ def test_f_matches_cho_solve_bit_for_bit():
         assert t.f(x) == 0.5 * float(d @ scipy.linalg.cho_solve(cho, d))
 
 
-def test_quadratic_target_rejects_a_sigma_potrf_cannot_factor():
-    G = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
-    # GaussianTarget checks Sigma with numpy's Cholesky; bypass it
-    object.__setattr__(G, "Sigma", np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(TargetError, match="not positive definite"):
-        quadratic_target(G)
-
-
 def test_kappa_needs_strong_convexity():
     t = LogConcaveTarget(f=lambda x: 0.0, alpha=0.0, beta=1.0)
     with pytest.raises(RegimeError):
@@ -91,8 +88,35 @@ def test_precision_of_the_identity_is_exact():
     np.testing.assert_array_equal(G.precision, np.eye(3))
 
 
-def test_precision_rejects_a_sigma_potrf_cannot_factor():
-    G = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
-    object.__setattr__(G, "Sigma", np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(TargetError, match="not positive definite"):
-        _ = G.precision
+def test_sigma_is_factored_once_and_only_by_lapack(monkeypatch):
+    # the precision, f, the constrained mode and the rejection oracle all
+    # work from G.L; numpy's Cholesky is never called
+    calls = []
+
+    def counting_dpotrf(*args, **kwargs):
+        calls.append(args)
+        return dpotrf(*args, **kwargs)
+
+    def no_numpy_cholesky(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(target, "dpotrf", counting_dpotrf)
+    monkeypatch.setattr(np.linalg, "cholesky", no_numpy_cholesky)
+    Sigma = np.array([[4.0, 1.2, 0.3], [1.2, 1.0, -0.2], [0.3, -0.2, 0.25]])
+    G = GaussianTarget(mu=np.array([2.0, 0.5, -0.5]), Sigma=Sigma)
+    P = make_box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])  # mu is outside
+    t = quadratic_target(G)
+    prec = G.precision
+    modes = solve_modes(G, P)
+    oracle = rejection_oracle(G, P, 10, np.random.default_rng(0))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(G.L, np.tril(G.L))
+    np.testing.assert_allclose(G.L @ G.L.T, Sigma, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(prec @ Sigma, np.eye(3), atol=1e-12)
+    assert t.f(G.mu) == 0.0
+    assert np.all(P.A @ modes.x_dag - P.b >= -1e-9)
+    assert oracle.samples.shape == (10, 3)
+    # L is derived, not a settable field
+    assert "L=" not in repr(G)
+    with pytest.raises(TypeError):
+        GaussianTarget(mu=G.mu, Sigma=Sigma, L=G.L)
