@@ -12,9 +12,12 @@ is written, so errors never leave partial outputs.
 Exit codes: 0 ok, 1 `diagnose` found violations, 2 file/parse error or
 invalid flag value, 3 infeasible initial point, 4 numeric failure. Each
 command checks its files and flag values before it computes anything, and a
-failed check exits 2. After that, `main` alone maps the library error that
-escapes: a chain that cannot start (`WalkError`) exits 3, every other
-library error 4.
+failed check raises `CliError`, which always exits 2; so does `sample` given
+both --lambda and --lambda-from-beta, or both --init-point and
+--init-warmstart. After that, `main` alone maps the library error that
+escapes: a chain that `run` cannot start (`WalkError`: the initial point is
+not interior, or f is not finite there) exits 3, and nothing else does;
+every other library error exits 4.
 
 While a command runs, every loaded OpenBLAS (numpy and scipy each link their
 own) is held to one thread, so output does not depend on the CPU count.
@@ -62,7 +65,8 @@ from dikinwalk.planner import (
     warm_start_center,
     warmness_bound,
 )
-from dikinwalk.polytope import PolytopeError, contains, parse_polytope
+from dikinwalk.polytope import PolytopeError, parse_polytope
+from dikinwalk.polytope import contains  # noqa: F401  bench/spans.py times it here
 from dikinwalk.target import GaussianTarget, TargetError, quadratic_target
 from dikinwalk.walk import (
     NonFiniteDensityError,
@@ -98,13 +102,7 @@ OPENBLAS_SYMBOLS = (
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-    def __reduce__(self):
-        # pickle would call the class with self.args, which hold the message
-        return type(self), (str(self), self.code)
+    """A bad file or flag value; main exits 2."""
 
 
 def _read_file(path: str) -> str:
@@ -112,14 +110,7 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
-
-
-def _load_polytope(path: str):
-    try:
-        return parse_polytope(_read_file(path))
-    except PolytopeError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_gaussian(text: str) -> GaussianTarget:
@@ -154,13 +145,6 @@ def serialize_gaussian(G: GaussianTarget) -> str:
     for row in G.Sigma:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _load_gaussian(path: str) -> GaussianTarget:
-    try:
-        return parse_gaussian(_read_file(path))
-    except TargetError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
 def _manifest(args: argparse.Namespace) -> str:
@@ -201,7 +185,7 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
             for tmp, path in staged:
                 os.replace(tmp, path)
         except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_PARSE) from exc
+            raise CliError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         for tmp, _ in staged:
             if os.path.exists(tmp):
@@ -362,18 +346,20 @@ def _in_processes(task: Callable, items) -> Iterator[list]:
 
 def _check_seed(args: argparse.Namespace) -> None:
     if args.seed < 0:
-        raise CliError("--seed must be >= 0", EXIT_PARSE)
+        raise CliError("--seed must be >= 0")
 
 
 def _check_r_tilde(args: argparse.Namespace) -> None:
     # warm_start_ball rejects it too, but as a planner (numeric) failure
     if not 0 < args.r_tilde < np.inf:
-        raise CliError("--r-tilde must be positive and finite", EXIT_PARSE)
+        raise CliError("--r-tilde must be positive and finite")
 
 
 def _resolve_metric(args: argparse.Namespace, gauss: GaussianTarget, beta: float):
     """The metric of --metric, regularized with --lambda, with beta under
     --lambda-from-beta, and otherwise with the Gaussian's precision."""
+    if args.lambda_from_beta and args.lam is not None:
+        raise CliError("give at most one of --lambda and --lambda-from-beta")
     if args.lambda_from_beta:
         lam = beta
     elif args.lam is not None:
@@ -383,23 +369,28 @@ def _resolve_metric(args: argparse.Namespace, gauss: GaussianTarget, beta: float
     lewis = {"c1": args.c1, "c2": args.c2, "q": args.q, "tol": args.lewis_tol}
     lewis = {name: value for name, value in lewis.items() if value is not None}
     if args.metric == "soft" and lewis:
-        message = "--c1, --c2, --q and --lewis-tol need --metric lewis"
-        raise CliError(message, EXIT_PARSE)
+        raise CliError("--c1, --c2, --q and --lewis-tol need --metric lewis")
     # the metric's constructor validates the flag values
     try:
         if args.metric == "soft":
             return SoftThreshold(lam=lam)
         return RegularizedLewis(lam=lam, **lewis)
     except MetricError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+        raise CliError(str(exc)) from exc
 
 
 def _load_inputs(args: argparse.Namespace):
     """(P, gauss) from --polytope and --gaussian, of one dimension."""
-    P = _load_polytope(args.polytope)
-    gauss = _load_gaussian(args.gaussian)
+    try:
+        P = parse_polytope(_read_file(args.polytope))
+    except PolytopeError as exc:
+        raise CliError(f"{args.polytope}: {exc}") from exc
+    try:
+        gauss = parse_gaussian(_read_file(args.gaussian))
+    except TargetError as exc:
+        raise CliError(f"{args.gaussian}: {exc}") from exc
     if gauss.n != P.n:
-        raise CliError("Gaussian and polytope dimensions differ", EXIT_PARSE)
+        raise CliError("Gaussian and polytope dimensions differ")
     return P, gauss
 
 
@@ -420,9 +411,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     target = quadratic_target(gauss)
     metric = _resolve_metric(args, gauss, target.beta)
     if isinstance(metric, RegularizedLewis) and P.m < P.n:
-        raise CliError(
-            f"--metric lewis needs m >= n constraints (m={P.m}, n={P.n})", EXIT_PARSE
-        )
+        raise CliError(f"--metric lewis needs m >= n constraints (m={P.m}, n={P.n})")
     try:
         config = WalkConfig(
             metric=metric,
@@ -436,23 +425,21 @@ def cmd_sample(args: argparse.Namespace) -> int:
         )
         config.check_dimension(P.n)
     except WalkError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+        raise CliError(str(exc)) from exc
     if args.chains < 1:
-        raise CliError("--chains must be >= 1", EXIT_PARSE)
+        raise CliError("--chains must be >= 1")
     _check_seed(args)
-    if args.init_point is not None:
-        x0 = np.array(args.init_point, dtype=float)
-        if x0.shape[0] != P.n:
-            raise CliError("--init-point has the wrong dimension", EXIT_PARSE)
-        if not contains(P, x0):
-            raise CliError("initial point is not interior", EXIT_INFEASIBLE)
-        init = x0
-    elif args.init_warmstart:
+    if (args.init_point is not None) == args.init_warmstart:
+        raise CliError("give one of --init-point and --init-warmstart")
+    if args.init_warmstart:
         _check_r_tilde(args)
         ball, _, _ = _warm_start(args, gauss, target, P, x1=None)
         init = lambda rng: sample_warm_start(ball, rng)  # noqa: E731
     else:
-        raise CliError("specify --init-point or --init-warmstart", EXIT_PARSE)
+        # run refuses a point that is not interior, exit 3
+        init = np.array(args.init_point, dtype=float)
+        if init.shape[0] != P.n:
+            raise CliError("--init-point has the wrong dimension")
 
     manifest = _manifest(args)
 
@@ -476,26 +463,21 @@ def _kv_block(pairs) -> str:
     return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
 
 
-def _fmt_vec(v: np.ndarray) -> str:
-    return " ".join(f"{x:.17g}" for x in v)
-
-
 def cmd_warmstart(args: argparse.Namespace) -> int:
     _check_r_tilde(args)
     R = args.outer_radius  # the warmness bound squares it
     if R is not None and not (R > 0 and 0 < R * R < math.inf):
-        message = "--outer-radius must be positive with a finite, nonzero square"
-        raise CliError(message, EXIT_PARSE)
+        raise CliError("--outer-radius must be positive with a finite, nonzero square")
     P, gauss = _load_inputs(args)
     target = quadratic_target(gauss)
     x1 = None if args.x1 is None else np.array(args.x1, dtype=float)
     if x1 is not None and (x1.shape[0] != P.n or not np.all(np.isfinite(x1))):
-        raise CliError("--x1 needs n finite values", EXIT_PARSE)
+        raise CliError("--x1 needs n finite values")
     ball, x1, modes = _warm_start(args, gauss, target, P, x1)
     logM = warmness_bound(target, P, x1, args.r_tilde, modes, R)
     content = _manifest(args) + _kv_block(
         [
-            ("x0", _fmt_vec(ball.x0)),
+            ("x0", " ".join(f"{x:.17g}" for x in ball.x0)),
             ("r0", f"{ball.r0:.17g}"),
             ("r1", f"{ball.r1:.17g}"),
             ("logM", f"{logM:.17g}"),
@@ -510,7 +492,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     files = [args.polytope, args.gaussian]
     if [path is not None for path in files] != [args.beyond_worst_case] * 2:
         message = "--beyond-worst-case takes --polytope and --gaussian, which need it"
-        raise CliError(message, EXIT_PARSE)
+        raise CliError(message)
     try:
         qry = MixingBudgetQuery(
             regime=args.regime,
@@ -530,13 +512,13 @@ def cmd_budget(args: argparse.Namespace) -> int:
             P, gauss = _load_inputs(args)
             check_beyond_worst_case(qry, P)
     except PlannerError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+        raise CliError(str(exc)) from exc
     if args.beyond_worst_case:
         modes = solve_modes(gauss, P)
         try:
             res = beyond_worst_case_budget(qry, P, quadratic_target(gauss), modes)
         except PlannerError as exc:  # a budget that overflows, as in mixing_budget
-            raise CliError(str(exc), EXIT_PARSE) from exc
+            raise CliError(str(exc)) from exc
         pairs += [("T_beyond", res.T), ("best_delta", f"{res.best_delta:.17g}"),
                   ("count", res.violated_count), ("T_plain", res.plain_T)]
     _write_outputs([(args.out, _manifest(args) + _kv_block(pairs))])
@@ -545,7 +527,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.n_samples < 1:
-        raise CliError("--n-samples must be >= 1", EXIT_PARSE)
+        raise CliError("--n-samples must be >= 1")
     _check_seed(args)
     P, gauss = _load_inputs(args)
     rng = np.random.default_rng(args.seed)
@@ -558,7 +540,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.trials < 1:
-        raise CliError("--trials must be >= 1", EXIT_PARSE)
+        raise CliError("--trials must be >= 1")
     _check_seed(args)
     # instance i draws from its own stream [seed, i] whichever process runs it;
     # the children are reaped once the report is written
@@ -589,29 +571,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--polytope", required=True, help="polytope text file")
         p.add_argument("--gaussian", required=True, help="Gaussian target file")
 
-    def add_metric_flags(p):
-        p.add_argument("--metric", choices=["soft", "lewis"], default="soft")
-        p.add_argument(
-            "--lambda",
-            dest="lam",
-            type=float,
-            default=None,
-            help="regularize with lambda I (default: with the Gaussian's Sigma^-1)",
-        )
-        p.add_argument(
-            "--lambda-from-beta",
-            action="store_true",
-            help="regularize with beta I, beta the target smoothness",
-        )
-        # Lewis metric only; None leaves RegularizedLewis's default
-        p.add_argument("--c1", type=float, default=None)
-        p.add_argument("--c2", type=float, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--lewis-tol", type=float, default=None)
-
     p = sub.add_parser("sample", help="run the walk and write samples CSV")
     add_polytope_gaussian(p)
-    add_metric_flags(p)
+    p.add_argument("--metric", choices=["soft", "lewis"], default="soft")
+    p.add_argument(
+        "--lambda",
+        dest="lam",
+        type=float,
+        default=None,
+        help="regularize with lambda I (default: with the Gaussian's Sigma^-1)",
+    )
+    p.add_argument(
+        "--lambda-from-beta",
+        action="store_true",
+        help="regularize with beta I, beta the target smoothness",
+    )
+    # Lewis metric only; None leaves RegularizedLewis's default
+    p.add_argument("--c1", type=float, default=None)
+    p.add_argument("--c2", type=float, default=None)
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--lewis-tol", type=float, default=None)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--thin", type=int, default=1)
@@ -703,7 +682,7 @@ def main(argv=None) -> int:
     except (CliError, *LIBRARY_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
-            return exc.code
+            return EXIT_PARSE
         if isinstance(exc, WalkError) and not isinstance(exc, NonFiniteDensityError):
             return EXIT_INFEASIBLE  # the chain cannot start
         return EXIT_NUMERIC

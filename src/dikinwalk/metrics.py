@@ -18,6 +18,8 @@ from dikinwalk.polytope import Polytope, slack
 
 # lewis_weights gives up once its residual has not halved in this many iterations
 STALL_ITERATIONS = 20
+# ... or after this many in all
+MAX_ITERATIONS = 1000
 
 
 class MetricError(ValueError):
@@ -165,16 +167,14 @@ def _newton_side(m: int, n: int) -> bool:
     return m <= 3 * n or m <= 96
 
 
-def lewis_weights(
-    Ax: np.ndarray, q: int, tol: float = 1e-8, max_iter: int = 1000
-) -> LewisWeights:
+def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
     """Solve the weight fixed point w_i = tau_i(w) for the Lewis weights.
 
     tau_i(w) = w_i^{c_q} a_i^T (Ax^T W^{c_q} Ax)^{-1} a_i is the leverage score
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
     first iterate with max_i |w_i - tau_i| / w_i <= tol. It raises
-    LewisConvergenceError after max_iter iterations, or earlier, once the
+    LewisConvergenceError after MAX_ITERATIONS iterations, or earlier, once the
     residual has not fallen to half its last such mark in STALL_ITERATIONS
     iterations: on a nearly rank-deficient Ax roundoff holds it above tol.
     Both rules count iterations, so the outcome is a function of Ax.
@@ -238,7 +238,7 @@ def lewis_weights(
     # in the non-finite MetricError below; numpy need not warn first.
     # Entered once per call, not per iteration: it costs ~2.6 us
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITERATIONS + 1):
             wc = w**cq
             # scipy's LAPACK called directly: numpy's linalg links a different
             # build whose low bits differ, and these weights feed G, so
@@ -281,7 +281,7 @@ def lewis_weights(
                 u, u_prev = u_prev + omega * (step - u_prev), u
                 omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
             w = np.exp(u)
-    raise LewisConvergenceError(residual, max_iter)
+    raise LewisConvergenceError(residual, MAX_ITERATIONS)
 
 
 def evaluate_metric(

@@ -202,8 +202,6 @@ def warm_start_ball(
     x1 = P._check_dim(x1)
     if not 0 < r_tilde < math.inf:
         raise PlannerError("r_tilde must be positive and finite")
-    if target.beta <= 0:
-        raise PlannerError("beta must be positive")
     # written so that a NaN margin fails it too
     if P.m > 0 and not np.min(_margins(P, x1)) >= r_tilde * (1 - 1e-9):
         raise PlannerError("B(x1, r_tilde) is not contained in the polytope")

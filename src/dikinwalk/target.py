@@ -56,6 +56,8 @@ class GaussianTarget:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
         Sigma = np.asarray(self.Sigma, dtype=float)
+        if mu.shape[0] == 0:
+            raise TargetError("dimension must be positive")
         if Sigma.shape != (mu.shape[0], mu.shape[0]):
             raise TargetError("Sigma shape does not match mu")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(Sigma))):

@@ -215,6 +215,38 @@ def _finite_only_at(x0):
     return lambda gauss: LogConcaveTarget(f=f, alpha=0.0, beta=1.0)
 
 
+def test_non_interior_start_of_every_chain_exits_3(files, monkeypatch, capsys):
+    # run refuses the start in each chain, before any output exists
+    tmp, poly, gauss = files
+    monkeypatch.chdir(tmp)
+    code = main([
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda", "1",
+        "--steps", "10", "--chains", "2", "--init-point", "-1", "1",
+        "--out", "s.csv",
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: initial point is not interior to the polytope\n"
+    )
+    assert not list(tmp.glob("s_*.csv")) and not list(tmp.glob(".dikinwalk-*"))
+    _no_child_left()
+
+
+def test_adapt_without_burn_in_exits_0(files, capsys):
+    # --adapt tunes r during burn-in only, so here it changes nothing
+    _, poly, gauss = files
+    argv = [
+        "sample", "--polytope", poly, "--gaussian", gauss, "--lambda-from-beta",
+        "--steps", "20", "--burn-in", "0", "--init-point", "1", "1",
+    ]
+    rows = []
+    for flags in (["--adapt"], []):
+        assert main([*argv, *flags]) == 0
+        out = capsys.readouterr().out
+        rows.append([ln for ln in out.splitlines() if not ln.startswith("#")])
+    assert rows[0] == rows[1]
+
+
 def test_sample_nonfinite_density_exit_codes(files, monkeypatch):
     tmp, poly, gauss = files
     out = tmp / "never.csv"
@@ -374,6 +406,17 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
           for poly, start in (("{R}", ["--init-point", "1", "1"]),
                               ("{H}", ["--init-point", "1", "1"]),
                               ("{H}", ["--init-warmstart"]))),
+        # sample's flag pairs; the second of each used to drop the first
+        ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "5",
+         "--lambda-from-beta", "--steps", "10", "--init-point", "1", "1"],
+        ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-point", "1", "1", "--init-warmstart"],
+        # an initial point of the wrong dimension, and no initial point
+        *(["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+           "--steps", "10", *start] for start in (["--init-point", "1", "1", "1"], [])),
+        # a polytope file that cannot be read
+        ["sample", "--polytope", "{X}", "--gaussian", "{G}", "--lambda", "1",
+         "--steps", "10", "--init-point", "1", "1"],
         # the soft metric has no Lewis knobs; these used to be ignored
         ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
          "--steps", "10", "--init-point", "1", "1", "--c1", "1e300", "--q", "3",
@@ -1108,7 +1151,7 @@ def test_oracle_without_acceptance_exits_4(tmp_path, capsys):
         DiagnosticsError("d"),
         WalkError("w"),
         NonFiniteDensityError("f"),
-        cli.CliError("x", 2),
+        cli.CliError("x"),
     ],
     ids=lambda exc: type(exc).__name__,
 )
@@ -1116,7 +1159,7 @@ def test_errors_survive_pickling(exc):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)
-    for attr in ("residual", "iterations", "code", "line"):
+    for attr in ("residual", "iterations", "line"):
         assert getattr(back, attr, None) == getattr(exc, attr, None)
 
 

@@ -190,7 +190,7 @@ def test_certification_corpus_takes_few_lewis_iterations(monkeypatch):
 
 def test_lewis_stalled_solve_raises_early():
     # with two columns collinear to 1e-6 the residual stops near 1e-4, far
-    # above tol, within ~10 iterations, and max_iter is 1000
+    # above tol, within ~10 iterations, and MAX_ITERATIONS is 1000
     rng = np.random.default_rng(0)
     for _ in range(200):
         Ax = rng.standard_normal((30, 4))
@@ -216,7 +216,7 @@ def test_lewis_rank_deficient_raises():
     ],
 )
 def test_lewis_non_finite_raises_at_once(Ax):
-    # each fails at once, not as a LewisConvergenceError after max_iter, and
+    # each fails at once, not as a LewisConvergenceError after MAX_ITERATIONS, and
     # a library caller sees the MetricError with no numpy warning before it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

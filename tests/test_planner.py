@@ -203,6 +203,20 @@ def test_warm_start_rejects_non_finite_inputs(monkeypatch):
         warm_start_ball(target, P, np.zeros(2), 1e-320, modes)
 
 
+def test_warmness_bound_mode_gap_term():
+    # mu = (3, 0) outside the box [-1, 1]^2 with beta = 2: x_dag = (1, 0) and
+    # g = 2, so log(2 beta R g) = log(8 R) exceeds log(sqrt(beta) R)
+    P = make_box([-1.0, -1.0], [1.0, 1.0])
+    gauss = GaussianTarget(mu=np.array([3.0, 0.0]), Sigma=0.5 * np.eye(2))
+    target = quadratic_target(gauss)
+    modes = solve_modes(gauss, P)
+    np.testing.assert_allclose(modes.x_dag, [1.0, 0.0], atol=1e-7)
+    n, R, r_tilde = 2, math.sqrt(2.0), 0.5
+    logM = warmness_bound(target, P, np.zeros(2), r_tilde, modes, outer_radius=R)
+    expected = 1.0 + n * math.log(3.0 * R / r_tilde) + n * math.log(8.0 * R)
+    assert logM == pytest.approx(expected, abs=1e-6)
+
+
 def test_warmness_bound_estimates_only_along_bounded_axes():
     # the ball needs no outer radius on the orthant; the estimate of one does
     P = make_orthant(2)

@@ -71,6 +71,8 @@ def test_gaussian_validation():
         GaussianTarget(mu=np.zeros(2), Sigma=-np.eye(2))
     with pytest.raises(TargetError):
         GaussianTarget(mu=np.zeros(3), Sigma=np.eye(2))
+    with pytest.raises(TargetError, match="dimension"):
+        GaussianTarget(mu=np.zeros(0), Sigma=np.zeros((0, 0)))
 
 
 def test_precision_inverts_sigma():
