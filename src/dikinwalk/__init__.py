@@ -17,7 +17,6 @@ from dikinwalk.polytope import (
     contains,
     make_box,
     make_orthant,
-    make_simplex,
     parse_polytope,
     serialize_polytope,
     slack,

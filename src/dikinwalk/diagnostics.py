@@ -28,6 +28,7 @@ from dikinwalk.polytope import Polytope, chord, contains, slack
 
 SSC_DELTA_MAX = 0.4  # largest G(x)-norm step certify_ssc draws
 MIN_SLACK = 0.2  # least slack of a random instance at its interior point
+ORACLE_BATCH = 10000  # draws per rejection_oracle batch
 
 
 class DiagnosticsError(ValueError):
@@ -109,13 +110,12 @@ def hilbert(P: Polytope, x: np.ndarray, y: np.ndarray) -> float:
     return math.log1p(cross_ratio(P, x, y))
 
 
-def rejection_oracle(
-    G, P: Polytope, N: int, rng: np.random.Generator, batch: int = 10000
-) -> OracleSamples:
+def rejection_oracle(G, P: Polytope, N: int, rng: np.random.Generator) -> OracleSamples:
     """Exact i.i.d. N(mu, Sigma) | K samples: mu + G.L z, z ~ N(0, I), kept in K.
 
-    Aborts after 100 consecutive empty batches of 10^4 draws: K holds too
-    little of the Gaussian's mass, which no affine change of variables alters.
+    Aborts after 100 consecutive empty batches of ORACLE_BATCH draws: K holds
+    too little of the Gaussian's mass, which no affine change of variables
+    alters.
     """
     if N <= 0:
         raise DiagnosticsError("N must be positive")
@@ -123,9 +123,9 @@ def rejection_oracle(
     total = accepted = 0
     empty_batches = 0
     while accepted < N:
-        draws = G.mu + rng.standard_normal((batch, G.n)) @ G.L.T
+        draws = G.mu + rng.standard_normal((ORACLE_BATCH, G.n)) @ G.L.T
         mask = np.all(draws @ P.A.T - P.b > 0.0, axis=1)
-        total += batch
+        total += ORACLE_BATCH
         got = int(mask.sum())
         if got == 0:
             empty_batches += 1

@@ -26,22 +26,6 @@ class MetricError(ValueError):
     """Metric evaluation failed (exterior point, rank deficiency, ...)."""
 
 
-class LewisConvergenceError(MetricError):
-    """Fixed-point iteration did not reach the residual tolerance."""
-
-    def __init__(self, residual: float, iterations: int):
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"Lewis weights did not converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-
-    def __reduce__(self):
-        # pickle would call the class with self.args, which hold the message
-        return type(self), (self.residual, self.iterations)
-
-
 def default_lewis_q(m: int) -> int:
     """Smallest even integer >= max(4, 2 ceil(log2 m))."""
     q = max(4, 2 * math.ceil(math.log2(m))) if m > 1 else 4
@@ -173,11 +157,14 @@ def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
     tau_i(w) = w_i^{c_q} a_i^T (Ax^T W^{c_q} Ax)^{-1} a_i is the leverage score
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
-    first iterate with max_i |w_i - tau_i| / w_i <= tol. It raises
-    LewisConvergenceError after MAX_ITERATIONS iterations, or earlier, once the
-    residual has not fallen to half its last such mark in STALL_ITERATIONS
-    iterations: on a nearly rank-deficient Ax roundoff holds it above tol.
-    Both rules count iterations, so the outcome is a function of Ax.
+    first iterate with max_i |w_i - tau_i| / w_i <= tol. A square Ax (m = n)
+    returns the start w = 1 at once: every leverage score of a full-rank
+    square matrix is 1, so it is the exact fixed point whatever roundoff
+    leaves in the residual. It raises MetricError ("did not converge") after
+    MAX_ITERATIONS iterations, or earlier, once the residual has not fallen
+    to half its last such mark in STALL_ITERATIONS iterations: on a nearly
+    rank-deficient Ax roundoff holds it above tol. Both rules count
+    iterations, so the outcome is a function of Ax.
 
     Leverage scores. Each iteration factors the weighted Gram
     Ax^T W^{c_q} Ax = L L^T, inverts L explicitly and forms Z = Ax L^{-T}, so
@@ -232,7 +219,6 @@ def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
     w = np.full(m, n / m)
     u = u_prev = np.log(w)
     omega = 1.0
-    residual = np.inf
     mark, mark_it = np.inf, 0  # the last residual at most half the mark before
     # a leverage score that underflows to 0 or turns NaN (log 0, 0 / 0) ends
     # in the non-finite MetricError below; numpy need not warn first.
@@ -255,14 +241,19 @@ def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
             Z = Ax @ Linv.T
             tau = wc * np.einsum("ij,ij->i", Z, Z)
             residual = float((np.abs(w - tau) / w).max())
-            if residual <= tol:
-                return LewisWeights(w=w, residual=residual, iterations=it)
             if not math.isfinite(residual):
                 raise MetricError("non-finite Lewis weights")
+            # at m = n the start w = 1 is the exact fixed point; roundoff in
+            # tau, ~cond(Ax)^2 eps, may hold the residual above tol
+            if residual <= tol or m == n:
+                return LewisWeights(w=w, residual=residual, iterations=it)
             if residual <= 0.5 * mark:
                 mark, mark_it = residual, it
-            elif it - mark_it >= STALL_ITERATIONS:
-                raise LewisConvergenceError(residual, it)
+            if it - mark_it >= STALL_ITERATIONS or it == MAX_ITERATIONS:
+                raise MetricError(
+                    f"Lewis weights did not converge: residual {residual:.3e} "
+                    f"after {it} iterations"
+                )
             if newton:
                 # H = (1 - cq) diag(tau) + cq (P o P), the docstring's system
                 K = Z @ Z.T
@@ -281,7 +272,6 @@ def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
                 u, u_prev = u_prev + omega * (step - u_prev), u
                 omega = 1.0 / (1.0 - sigma2 * (0.5 if it == 1 else omega / 4.0))
             w = np.exp(u)
-    raise LewisConvergenceError(residual, MAX_ITERATIONS)
 
 
 def evaluate_metric(

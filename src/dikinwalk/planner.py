@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from dikinwalk.polytope import Polytope, chord
-from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError
+from dikinwalk.target import GaussianTarget, LogConcaveTarget, TargetError
 
 
-DELTA_GRID = np.logspace(-2, 3, 32)  # default delta grid of beyond_worst_case_budget
+DELTA_GRID = np.logspace(-2, 3, 32)  # the delta grid of beyond_worst_case_budget
 
 
 class PlannerError(ValueError):
@@ -334,9 +334,8 @@ def beyond_worst_case_budget(
     P: Polytope,
     target: LogConcaveTarget,
     modes: ModePair,
-    delta_grid: Optional[Sequence[float]] = None,
 ) -> BudgetResult:
-    """Minimize kappa n + m / delta^2 + n * (violated count) over the delta grid.
+    """Minimize kappa n + m / delta^2 + n * (violated count) over DELTA_GRID.
 
     Every input but alpha (from target) comes from qry. The ball is centered
     at the constrained mode with radius (radius_hat(eps / 2M) + delta)
@@ -346,16 +345,15 @@ def beyond_worst_case_budget(
     """
     check_beyond_worst_case(qry, P)
     if target.alpha <= 0:
-        raise RegimeError("regime requires alpha > 0")
+        raise TargetError("regime requires alpha > 0")
     n, m, kappa, M, eps = qry.n, qry.m, qry.kappa, qry.M, qry.eps
     ups = radius_hat(eps / (2.0 * M), n)
     scale = math.sqrt(n / target.alpha)
     log_term = max(0.0, math.log(2.0 * M / eps))
-    grid = DELTA_GRID if delta_grid is None else np.asarray(delta_grid)
     best_val = kappa * n + n * m  # delta -> infinity sentinel
     best_delta = math.inf
     best_count = m
-    for delta in grid:
+    for delta in DELTA_GRID:
         count = violated_constraint_count(P, modes.x_dag, (ups + delta) * scale)
         val = kappa * n + m / delta**2 + n * count
         if val < best_val:

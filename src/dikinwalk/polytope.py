@@ -191,10 +191,3 @@ def make_box(lo, hi) -> Polytope:
     A = np.vstack([np.eye(n), -np.eye(n)])
     b = np.concatenate([lo, -hi])
     return Polytope(A=A, b=b)
-
-
-def make_simplex(n: int) -> Polytope:
-    """Open standard simplex {x > 0, sum x < 1}, n + 1 constraints."""
-    A = np.vstack([np.eye(n), -np.ones((1, n))])
-    b = np.concatenate([np.zeros(n), [-1.0]])
-    return Polytope(A=A, b=b)

@@ -14,10 +14,6 @@ class TargetError(ValueError):
     """Invalid target parameters."""
 
 
-class RegimeError(TargetError):
-    """An operation needed alpha > 0 but the target is only weakly logconcave."""
-
-
 @dataclass(frozen=True)
 class LogConcaveTarget:
     """Negative log-density f (up to an additive constant) with curvature bounds.
@@ -40,7 +36,7 @@ class LogConcaveTarget:
     def kappa(self) -> float:
         """Condition number beta / alpha; defined only for alpha > 0."""
         if self.alpha <= 0:
-            raise RegimeError("regime requires alpha > 0")
+            raise TargetError("regime requires alpha > 0")
         return self.beta / self.alpha
 
 

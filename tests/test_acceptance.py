@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dikinwalk import planner
 from dikinwalk.diagnostics import (
     compare_moments,
     diagnose_corpus,
@@ -296,7 +297,7 @@ def test_criterion_8_warm_start_instances():
 
 # ---------------------------------------------------------------- criterion 9
 
-def test_criterion_9_budget_dominance():
+def test_criterion_9_budget_dominance(monkeypatch):
     rng = np.random.default_rng(909)
     ok = True
     for _ in range(25):
@@ -310,7 +311,9 @@ def test_criterion_9_budget_dominance():
         qry = MixingBudgetQuery(regime="strong", m=P.m, n=P.n, metric="soft",
                                 M=10.0, eps=0.1, C=1.0, kappa=1.0)
         res = beyond_worst_case_budget(qry, P, target, modes)
-        sentinel = beyond_worst_case_budget(qry, P, target, modes, delta_grid=[])
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "DELTA_GRID", [])
+            sentinel = beyond_worst_case_budget(qry, P, target, modes)
         if res.T > res.plain_T or sentinel.T != sentinel.plain_T:
             ok = False
     _verdict(9, ok, "optimized <= plain on all instances; sentinel equals plain")

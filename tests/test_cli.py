@@ -13,7 +13,7 @@ import pytest
 from dikinwalk import cli, diagnostics, metrics, planner
 from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
 from dikinwalk.diagnostics import DiagnosticsError, diagnose_corpus
-from dikinwalk.metrics import LewisConvergenceError, MetricError
+from dikinwalk.metrics import MetricError
 from dikinwalk.planner import PlannerError
 from dikinwalk.polytope import (
     PolytopeError,
@@ -22,7 +22,7 @@ from dikinwalk.polytope import (
     parse_polytope,
     serialize_polytope,
 )
-from dikinwalk.target import GaussianTarget, LogConcaveTarget, RegimeError, TargetError
+from dikinwalk.target import GaussianTarget, LogConcaveTarget, TargetError
 from dikinwalk.walk import NonFiniteDensityError, WalkError
 
 # the benchmark's ESS estimator (Geyer's initial monotone sequence), by path
@@ -509,7 +509,11 @@ def _sweep_cases():
                     tokens = [flag, value, value]  # n = 2
                 else:
                     continue
-                yield pytest.param([*argv, *tokens], id=f"{base}{flag}={value}")
+                head = argv
+                if flag == "--init-point":
+                    # the pair with --init-warmstart would exit 2 before run
+                    head = [a for a in argv if a != "--init-warmstart"]
+                yield pytest.param([*head, *tokens], id=f"{base}{flag}={value}")
 
 
 @pytest.fixture(scope="module")
@@ -662,7 +666,9 @@ def _lewis_converges_left_of(t):
     def patched(Ax, *args, **kwargs):
         x0 = 1.0 / Ax[0, 0] - 1.0
         if x0 >= t:
-            raise LewisConvergenceError(x0, 1000)
+            raise MetricError(
+                f"Lewis weights did not converge: residual {x0:.3e} after 1000 iterations"
+            )
         return lewis_weights(Ax, *args, **kwargs)
 
     return patched
@@ -1144,9 +1150,7 @@ def test_oracle_without_acceptance_exits_4(tmp_path, capsys):
         PolytopeError("p"),
         PolytopeFormatError("bad token", line=3),
         TargetError("t"),
-        RegimeError("r"),
         MetricError("m"),
-        LewisConvergenceError(1e-3, 10),
         PlannerError("pl"),
         DiagnosticsError("d"),
         WalkError("w"),
@@ -1159,8 +1163,7 @@ def test_errors_survive_pickling(exc):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)
-    for attr in ("residual", "iterations", "line"):
-        assert getattr(back, attr, None) == getattr(exc, attr, None)
+    assert getattr(back, "line", None) == getattr(exc, "line", None)
 
 
 def test_diagnose_exit_zero(files, capsys):
@@ -1168,6 +1171,17 @@ def test_diagnose_exit_zero(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "violations=0" in out
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [2173, 12928, 13888, 19768, 21779, 22609, 29663, 38643, 38872, 41661, 118900],
+)
+def test_diagnose_square_instances_exit_zero(seed, capsys):
+    # each seed draws a square A_x (m = n, cond 5e4 to 1e6) at which
+    # roundoff holds the Lewis residual above tol, though w = 1 is exact
+    assert main(["diagnose", "--seed", str(seed), "--trials", "40"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_diagnose_output_does_not_depend_on_cpu_count(tmp_path, monkeypatch):

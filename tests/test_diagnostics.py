@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dikinwalk import diagnostics
 from dikinwalk.diagnostics import (
     CertReport,
     DiagnosticsError,
@@ -118,12 +119,13 @@ def test_rejection_oracle_orthant_quarter():
         assert contains(P, row)
 
 
-def test_rejection_oracle_gives_up():
+def test_rejection_oracle_gives_up(monkeypatch):
     # far-away shifted box: acceptance essentially zero
+    monkeypatch.setattr(diagnostics, "ORACLE_BATCH", 100)
     P = make_box([100.0, 100.0], [100.1, 100.1])
     G = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
     with pytest.raises(DiagnosticsError):
-        rejection_oracle(G, P, 10, np.random.default_rng(0), batch=100)
+        rejection_oracle(G, P, 10, np.random.default_rng(0))
 
 
 def test_compare_moments_self():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from dikinwalk.diagnostics import (
     random_polytope_with_interior,
 )
 from dikinwalk.metrics import (
-    LewisConvergenceError,
     MetricError,
     RegularizedLewis,
     SoftThreshold,
@@ -127,7 +127,7 @@ def test_lewis_weights_agree_with_damped_reference():
         Ax = rng.standard_normal((m, n)) / rng.uniform(0.05, 2.0, size=m)[:, None]
         ref = _lewis_weights_cho(Ax, q)
         if ref is None:
-            with pytest.raises(LewisConvergenceError):
+            with pytest.raises(MetricError, match="did not converge"):
                 lewis_weights(Ax, q)
             continue
         lw = lewis_weights(Ax, q)
@@ -195,15 +195,35 @@ def test_lewis_stalled_solve_raises_early():
     for _ in range(200):
         Ax = rng.standard_normal((30, 4))
         Ax[:, 3] = Ax[:, 2] + 1e-6 * rng.standard_normal(30)
-        with pytest.raises(LewisConvergenceError) as exc:
+        with pytest.raises(MetricError, match="did not converge") as exc:
             lewis_weights(Ax, q=10)
-        assert exc.value.iterations < 100
-        assert exc.value.residual > 1e-8
+        found = re.fullmatch(
+            r"Lewis weights did not converge: residual (\S+) after (\d+) iterations",
+            str(exc.value),
+        )
+        assert int(found[2]) < 100
+        assert float(found[1]) > 1e-8
 
 
 def test_lewis_rank_deficient_raises():
     with pytest.raises(MetricError, match="rank-deficient"):
         lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), q=4)
+    # a singular square Ax too, though a full-rank one returns w = 1 at once
+    with pytest.raises(MetricError, match="rank-deficient"):
+        lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0]]), q=4)
+
+
+def test_lewis_square_returns_the_exact_fixed_point():
+    # every leverage score of a full-rank square matrix is 1, so w = 1 is the
+    # fixed point; at cond = 3e5 roundoff in tau alone holds the residual
+    # near 5e-6, above tol, however many steps are taken
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    Ax = U @ np.diag([3.0, 2.0, 1.0, 1e-5]) @ V.T
+    lw = lewis_weights(Ax, q=4)
+    assert lw.iterations == 1
+    assert (lw.w == 1.0).all()
 
 
 @pytest.mark.parametrize(
@@ -216,13 +236,13 @@ def test_lewis_rank_deficient_raises():
     ],
 )
 def test_lewis_non_finite_raises_at_once(Ax):
-    # each fails at once, not as a LewisConvergenceError after MAX_ITERATIONS, and
+    # each fails at once, not as "did not converge" after MAX_ITERATIONS, and
     # a library caller sees the MetricError with no numpy warning before it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(MetricError, match="non-finite") as exc:
             lewis_weights(np.array(Ax), q=4)
-    assert not isinstance(exc.value, LewisConvergenceError)
+    assert "did not converge" not in str(exc.value)
     assert [str(w.message) for w in caught] == []
 
 

@@ -468,7 +468,7 @@ def _soft_query(P, kappa=1.0, M=10.0):
                              eps=0.1, C=1.0, kappa=kappa)
 
 
-def test_beyond_worst_case_sentinel_and_bound():
+def test_beyond_worst_case_sentinel_and_bound(monkeypatch):
     rng = np.random.default_rng(19)
     for _ in range(10):
         P, _ = random_polytope_with_interior(3, 7, rng)
@@ -477,9 +477,9 @@ def test_beyond_worst_case_sentinel_and_bound():
         res = beyond_worst_case_budget(_soft_query(P), P, target, modes)
         assert res.T <= res.plain_T
         # empty grid leaves only the delta -> infinity sentinel
-        sent = beyond_worst_case_budget(
-            _soft_query(P), P, target, modes, delta_grid=[]
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "DELTA_GRID", [])
+            sent = beyond_worst_case_budget(_soft_query(P), P, target, modes)
         assert sent.T == sent.plain_T
         assert math.isinf(sent.best_delta)
         assert sent.violated_count == P.m

@@ -9,7 +9,6 @@ from dikinwalk.polytope import (
     contains,
     make_box,
     make_orthant,
-    make_simplex,
     parse_polytope,
     serialize_polytope,
     slack,
@@ -175,12 +174,6 @@ def test_make_box():
     P = make_box((0.0, 0.0), (1.0, 1.0))
     assert P.m == 4
     assert contains(P, np.array([0.5, 0.5]))
-
-
-def test_make_simplex():
-    P = make_simplex(2)
-    assert contains(P, np.array([0.25, 0.25]))
-    assert not contains(P, np.array([0.6, 0.6]))
 
 
 def test_invalid_construction():

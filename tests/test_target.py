@@ -9,7 +9,6 @@ from dikinwalk.polytope import make_box
 from dikinwalk.target import (
     GaussianTarget,
     LogConcaveTarget,
-    RegimeError,
     TargetError,
     quadratic_target,
 )
@@ -53,7 +52,7 @@ def test_f_matches_cho_solve_bit_for_bit():
 
 def test_kappa_needs_strong_convexity():
     t = LogConcaveTarget(f=lambda x: 0.0, alpha=0.0, beta=1.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(TargetError, match="alpha > 0"):
         _ = t.kappa
 
 
