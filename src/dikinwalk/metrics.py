@@ -6,6 +6,7 @@ as a Gaussian target's precision Sigma^{-1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -64,6 +65,19 @@ class SoftThreshold:
     def __post_init__(self):
         object.__setattr__(self, "lam", _regularizer(self.lam))
 
+    @functools.cached_property
+    def lam_min(self) -> float:
+        """A lower bound on Lambda's smallest eigenvalue, computed once.
+
+        lam itself for a scalar. For a matrix, eigvalsh's smallest eigenvalue
+        less 1e-12 n times its largest, which covers eigvalsh's backward error;
+        it may come out <= 0 for a barely positive definite lam.
+        """
+        if not isinstance(self.lam, np.ndarray):
+            return self.lam
+        w = np.linalg.eigvalsh(self.lam)
+        return float(w[0] - 1e-12 * w.shape[0] * w[-1])
+
 
 @dataclass(frozen=True)
 class RegularizedLewis:
@@ -93,11 +107,20 @@ MetricKind = Union[SoftThreshold, RegularizedLewis]
 
 @dataclass(frozen=True)
 class MetricEval:
-    """G at a point with its upper-triangular factor Q (G = Q^T Q) and log det."""
+    """G at a point with its upper-triangular factor Q (G = Q^T Q), log det,
+    and the slacks s = Ax - b it was built from."""
 
     G: np.ndarray
     Q: np.ndarray
     logdet: float
+    s: np.ndarray
+
+    @functools.cached_property
+    def inv_s_sq(self) -> np.ndarray:
+        """1 / s^2, computed once per point: a chain tests many proposals
+        from one x against it."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / (self.s * self.s)
 
 
 @dataclass(frozen=True)
@@ -319,4 +342,4 @@ def evaluate_metric(
     else:
         _diagonal(G)[:] += lam
     Q, logdet = _cholesky_upper(G)
-    return MetricEval(G=G, Q=Q, logdet=logdet)
+    return MetricEval(G=G, Q=Q, logdet=logdet, s=s)

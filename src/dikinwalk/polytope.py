@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,11 @@ class Polytope:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    @functools.cached_property
+    def row_norms_sq(self) -> np.ndarray:
+        """|a_i|^2 for each row of A, computed once (A is read-only)."""
+        return np.einsum("ij,ij->i", self.A, self.A)
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
