@@ -11,6 +11,7 @@ self-concordance and symmetry).
 """
 
 from dikinwalk.polytope import (
+    DikinwalkError,
     Polytope,
     PolytopeError,
     contains,

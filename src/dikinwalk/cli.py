@@ -14,10 +14,11 @@ invalid flag value, 3 infeasible initial point, 4 numeric failure. Each
 command checks its files and flag values before it computes anything, and a
 failed check raises `CliError`, which always exits 2; so does `sample` given
 both --lambda and --lambda-from-beta, or both --init-point and
---init-warmstart. After that, `main` alone maps the library error that
-escapes: a chain that `run` cannot start (`WalkError`: the initial point is
-not interior, or f is not finite there) exits 3, and nothing else does;
-every other library error exits 4.
+--init-warmstart. After that, `main` alone maps the error that escapes, by
+type and whichever process raised it. Every library error is a
+`DikinwalkError`: a `WalkError` (`run` cannot start a chain: the initial
+point is not interior, or f is not finite there) exits 3, and every other
+one exits 4. Both input files skip '#' comment lines and blank lines.
 
 While a command runs, every loaded OpenBLAS (numpy and scipy each link their
 own) is held to one thread, so output does not depend on the CPU count.
@@ -33,11 +34,11 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
-import errno
 import functools
 import math
 import os
 import pickle
+import re
 import signal
 import sys
 import tempfile
@@ -47,11 +48,7 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from dikinwalk import __version__
-from dikinwalk.diagnostics import (
-    DiagnosticsError,
-    diagnose_corpus,
-    rejection_oracle,
-)
+from dikinwalk.diagnostics import diagnose_corpus, rejection_oracle
 from dikinwalk.metrics import MetricError, RegularizedLewis, SoftThreshold
 from dikinwalk.planner import (
     PlannerError,
@@ -65,32 +62,21 @@ from dikinwalk.planner import (
     warm_start_center,
     warmness_bound,
 )
-from dikinwalk.polytope import PolytopeError, parse_polytope
+from dikinwalk.polytope import DikinwalkError, PolytopeError, parse_polytope
 from dikinwalk.polytope import contains  # noqa: F401  bench/spans.py times it here
-from dikinwalk.target import GaussianTarget, TargetError, quadratic_target
-from dikinwalk.walk import (
-    NonFiniteDensityError,
-    WalkConfig,
-    WalkError,
-    format_csv,
-    format_rows,
-    run,
+from dikinwalk.target import (
+    GaussianTarget,
+    TargetError,
+    parse_gaussian,
+    quadratic_target,
+    serialize_gaussian,  # noqa: F401  bench/run.py writes its inputs with it
 )
+from dikinwalk.walk import WalkConfig, WalkError, format_csv, format_rows, run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
-
-# what the library raises once the inputs are checked; main maps them to 3 or 4
-LIBRARY_ERRORS = (
-    DiagnosticsError,
-    MetricError,
-    PlannerError,
-    PolytopeError,
-    TargetError,
-    WalkError,
-)
 
 # scipy's wheels prefix OpenBLAS's symbols and suffix its 64-bit-integer build
 OPENBLAS_SYMBOLS = (
@@ -113,40 +99,6 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def parse_gaussian(text: str) -> GaussianTarget:
-    """Gaussian file: "n", one line of n floats (mu), n lines of n floats (Sigma)."""
-    rows = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not rows:
-        raise TargetError("empty Gaussian file")
-    try:
-        n = int(rows[0])
-    except ValueError:
-        raise TargetError("first line must be the dimension n") from None
-    if n < 1:
-        raise TargetError("dimension n must be positive")
-    if len(rows) != n + 2:
-        raise TargetError(f"expected 1 mean line and {n} covariance rows")
-    try:
-        mu = np.array([float(t) for t in rows[1].split()])
-        Sigma = np.array([[float(t) for t in rows[i + 2].split()] for i in range(n)])
-    except ValueError:
-        raise TargetError("non-numeric token in Gaussian file") from None
-    if mu.shape != (n,) or Sigma.shape != (n, n):
-        raise TargetError("wrong number of values in Gaussian file")
-    return GaussianTarget(mu=mu, Sigma=Sigma)
-
-
-def serialize_gaussian(G: GaussianTarget) -> str:
-    lines = [str(G.n), " ".join(f"{v:.17g}" for v in G.mu)]
-    for row in G.Sigma:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _manifest(args: argparse.Namespace) -> str:
     skip = {"func", "command"}
     items = [
@@ -162,10 +114,16 @@ def _manifest(args: argparse.Namespace) -> str:
 def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
     """Write each (path, content); content for a None path goes to stdout.
 
-    Every file is written to a temp path in its directory first, and all are
-    renamed only after every write has succeeded, so a failing write leaves
-    no file behind. Stdout is written last.
+    A path must name a regular file or nothing yet: os.replace would swap a
+    device or FIFO for a regular file, and fail on a directory only after
+    earlier renames. Every file is written to a temp path in its directory
+    first, and all are renamed only after every write has succeeded, so a
+    failing write leaves no file behind. Stdout is written last.
     """
+    outputs = list(outputs)
+    for path, _ in outputs:
+        if path is not None and os.path.exists(path) and not os.path.isfile(path):
+            raise CliError(f"cannot write {path}: not a regular file")
     staged: list[tuple[str, str]] = []
     to_stdout: list[str] = []
     try:
@@ -174,9 +132,6 @@ def _write_outputs(outputs: Iterable[tuple[str | None, str]]) -> None:
                 if path is None:
                     to_stdout.append(content)
                     continue
-                if os.path.isdir(path):
-                    # os.replace would fail on it only after earlier renames
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 directory = os.path.dirname(os.path.abspath(path))
                 fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dikinwalk-")
                 staged.append((tmp, path))
@@ -267,7 +222,7 @@ def _in_order(task: Callable, items, positions: Iterable[int]) -> list:
     for k in positions:
         try:
             done.append((k, task(items[k]), None))
-        except LIBRARY_ERRORS as exc:
+        except DikinwalkError as exc:
             done.append((k, None, exc))
             break
     return done
@@ -657,6 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diagnose)
 
+    # argparse takes only "-1" and "-.5" for negative numbers and "-1e-08" for
+    # an option, so --x1 could not take every coordinate that warmstart prints
+    for p in [parser, *sub.choices.values()]:
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -671,11 +630,11 @@ def main(argv=None) -> int:
             np.errstate(over="ignore", invalid="ignore", divide="ignore"),
         ):
             return args.func(args)
-    except (CliError, *LIBRARY_ERRORS) as exc:
+    except (CliError, DikinwalkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return EXIT_PARSE
-        if isinstance(exc, WalkError) and not isinstance(exc, NonFiniteDensityError):
+        if isinstance(exc, WalkError):
             return EXIT_INFEASIBLE  # the chain cannot start
         return EXIT_NUMERIC
 

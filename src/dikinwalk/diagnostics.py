@@ -22,7 +22,7 @@ from dikinwalk.metrics import (
     SoftThreshold,
     evaluate_metric,
 )
-from dikinwalk.polytope import Polytope, contains, slack
+from dikinwalk.polytope import DikinwalkError, Polytope, contains, slack
 
 
 SSC_DELTA_MAX = 0.4  # largest G(x)-norm step certify_ssc draws
@@ -30,7 +30,7 @@ MIN_SLACK = 0.2  # least slack of a random instance at its interior point
 ORACLE_BATCH = 10000  # draws per rejection_oracle batch
 
 
-class DiagnosticsError(ValueError):
+class DiagnosticsError(DikinwalkError):
     """Invalid diagnostics inputs or an oracle that cannot make progress."""
 
 

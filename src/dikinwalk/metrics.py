@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from dikinwalk._lapack import dgeqrf, dpotrf, dpotrs, dtrtri
-from dikinwalk.polytope import Polytope, slack
+from dikinwalk.polytope import DikinwalkError, Polytope, slack
 
 
 # lewis_weights gives up once its residual has not halved in this many iterations
@@ -23,7 +23,7 @@ STALL_ITERATIONS = 20
 MAX_ITERATIONS = 1000
 
 
-class MetricError(ValueError):
+class MetricError(DikinwalkError):
     """Metric evaluation failed (exterior point, rank deficiency, ...)."""
 
 

@@ -12,14 +12,14 @@ from typing import Optional
 
 import numpy as np
 
-from dikinwalk.polytope import Polytope, slack
+from dikinwalk.polytope import DikinwalkError, Polytope, slack
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, TargetError
 
 
 DELTA_GRID = np.logspace(-2, 3, 32)  # the delta grid of beyond_worst_case_budget
 
 
-class PlannerError(ValueError):
+class PlannerError(DikinwalkError):
     """Invalid planner inputs."""
 
 
@@ -100,10 +100,19 @@ class BudgetResult:
     plain_T: int
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """|a_i| for each row of A; by hypot for the rows whose squares overflow
+    or underflow (rows past about 1e154, or below 1e-154)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(A, axis=1)
+    far = ~((norms > 1e-150) & (norms < 1e150))
+    norms[far] = np.hypot.reduce(np.abs(A[far]), axis=1)
+    return norms
+
+
 def _margins(P: Polytope, x: np.ndarray) -> np.ndarray:
     """Per-constraint Euclidean distance margins (a_i^T x - b_i) / |a_i|."""
-    norms = np.linalg.norm(P.A, axis=1)
-    return (P.A @ x - P.b) / norms
+    return (P.A @ x - P.b) / _row_norms(P.A)
 
 
 def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -112,16 +121,23 @@ def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     Least-distance programming (Lawson & Hanson, "Solving Least Squares
     Problems", 1974, ch. 23): u >= 0 minimizing |E u - e| for E = [A^T; h^T],
     h = b - A y and e = (0, ..., 0, 1) leaves r = E u - e, x = y + r[:n] / -r[n].
+    The rows with u_i > 0 are active at x, so x - y is also the least-norm
+    solution of their equations, which keeps the digits that the quotient
+    loses for a far x.
     """
     # imported here: scipy.optimize, with the scipy.linalg it imports, takes
     # ~0.5 s and ~44 MB to import, and only a mode outside K needs it
     from scipy.optimize import nnls
 
     n = A.shape[1]
+    # the set is the same with each (a_i, b_i) divided by |a_i|, and nnls
+    # misses it among rows of scales as far apart as 1e-218 and 1e15
+    norms = _row_norms(A)
+    A, b = A / norms[:, None], b / norms
     h = b - A @ y
     # -r[n] = 1 / (1 + |x - y|^2) loses digits for a far x, so solve for
     # (x - y) / t, t the largest distance to a violated half-space
-    t = max(1.0, float(np.max(h / np.linalg.norm(A, axis=1))))
+    t = max(1.0, float(np.max(h)))
     E = np.vstack([A.T, h / t])
     if not np.all(np.isfinite(E)):  # nnls raises a bare ValueError on inf/nan
         raise PlannerError("least-distance system is not finite")
@@ -134,7 +150,8 @@ def _nearest_point(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     # -r[n] = |r|^2 > 0 unless the constraints are inconsistent; then only
     # roundoff is left in r, and x comes out infeasible
     if -r[n] > 0:
-        x = y + t * r[:n] / -r[n]
+        active = u > 0
+        x = y + np.linalg.lstsq(A[active], h[active], rcond=None)[0]
         if np.all(A @ x - b >= -1e-9 * (np.abs(A) @ np.abs(x) + np.abs(b))):
             return x
     raise PlannerError("polytope is empty")
@@ -146,8 +163,9 @@ def solve_modes(gauss: GaussianTarget, P: Polytope) -> ModePair:
     with L = gauss.L and z the least-norm point of {z | (A L) z >= b - A mu}.
     """
     mu = P._check_dim(gauss.mu).copy()
-    # A mu can overflow; _nearest_point rejects the system that comes out
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A mu can overflow, and a row of A L underflow to zero; _nearest_point
+    # rejects the system that comes out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.all(P.A @ mu - P.b >= 0.0):
             return ModePair(x_star=mu, x_dag=mu)
         z = _nearest_point(P.A @ gauss.L, P.b - P.A @ mu, np.zeros(P.n))
@@ -185,7 +203,7 @@ def warm_start_center(P: Polytope, x_dag: np.ndarray, r_tilde: float) -> np.ndar
         raise PlannerError("r_tilde must be positive and finite")
     if P.m == 0 or np.min(_margins(P, x_dag)) >= r_tilde * (1 - 1e-9):
         return x_dag
-    norms = np.linalg.norm(P.A, axis=1)
+    norms = _row_norms(P.A)
     try:
         # r_tilde |a_i| can overflow; _nearest_point rejects the system
         with np.errstate(over="ignore", invalid="ignore"):
@@ -324,8 +342,7 @@ def violated_constraint_count(P: Polytope, center: np.ndarray, rho: float) -> in
     if rho < 0:
         raise PlannerError("rho must be nonnegative")
     center = P._check_dim(center)
-    norms = np.linalg.norm(P.A, axis=1)
-    return int(np.count_nonzero(P.A @ center - P.b <= norms * rho))
+    return int(np.count_nonzero(P.A @ center - P.b <= _row_norms(P.A) * rho))
 
 
 def check_beyond_worst_case(qry: MixingBudgetQuery, P: Polytope) -> None:

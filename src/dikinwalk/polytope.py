@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class PolytopeError(ValueError):
+class DikinwalkError(ValueError):
+    """Base of every error the library raises on bad input or a failed
+    computation; the CLI maps each to an exit code (see dikinwalk.cli)."""
+
+
+class PolytopeError(DikinwalkError):
     """Invalid polytope data or an operation on an exterior point."""
 
 
@@ -80,63 +87,60 @@ def contains(P: Polytope, x: np.ndarray) -> bool:
     return bool(np.all(slack(P, x) > 0.0))
 
 
+def data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of each line of an input file that is
+    neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
+
+
+def _floats(tokens: list[str], k: int, lineno: int) -> np.ndarray:
+    if len(tokens) != k:
+        raise PolytopeFormatError(f"expected {k} floats, got {len(tokens)}", lineno)
+    try:
+        return np.fromiter(map(float, tokens), float, k)
+    except ValueError:
+        raise PolytopeFormatError("non-numeric token", lineno) from None
+
+
 def parse_polytope(text: str) -> Polytope:
     """Parse the polytope text format.
 
     First non-comment line is "n m"; then m rows of A (n floats each); then
     one line of m floats for b (omitted when m = 0). '#' lines are comments.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
-    if not lines:
+    lines = data_lines(text)
+    lineno, header = next(lines, (0, None))
+    if header is None:
         raise PolytopeFormatError("empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
+    if len(header) != 2:
         raise PolytopeFormatError("header must be 'n m'", lineno)
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = int(header[0]), int(header[1])
     except ValueError:
         raise PolytopeFormatError("non-integer header token", lineno) from None
     if n <= 0 or m < 0:
         raise PolytopeFormatError("need n > 0 and m >= 0", lineno)
-    body = lines[1:]
+    # the lines are counted before any is converted, by a second reader that
+    # keeps only the last expected line's number and the next one's
     expected = m + (1 if m > 0 else 0)
-    if len(body) != expected:
+    ends = [ln for k, (ln, _) in enumerate(data_lines(text)) if 0 <= k - expected <= 1]
+    if len(ends) != 1:
         raise PolytopeFormatError(
             f"expected {m} constraint row{'s' if m != 1 else ''}"
             + (" and one b line" if m > 0 else ""),
-            body[expected][0] if len(body) > expected else lineno,
+            ends[1] if ends else lineno,
         )
-    # every row is counted before the header's n sizes an array
-    for rowno, row in body[:m]:
-        k = len(row.split())
-        if k != n:
-            raise PolytopeFormatError(f"expected {n} floats, got {k}", rowno)
-    A = np.zeros((m, n))
-    for i in range(m):
-        rowno, row = body[i]
-        try:
-            A[i] = [float(t) for t in row.split()]
-        except ValueError:
-            raise PolytopeFormatError("non-numeric token", rowno) from None
-    b = np.zeros(m)
-    if m > 0:
-        rowno, row = body[m]
-        toks = row.split()
-        if len(toks) != m:
-            raise PolytopeFormatError(f"expected {m} floats, got {len(toks)}", rowno)
-        try:
-            b[:] = [float(t) for t in toks]
-        except ValueError:
-            raise PolytopeFormatError("non-numeric token", rowno) from None
-    if m == 0:
-        A = A.reshape(0, n)
-    return Polytope(A=A, b=b)
+    # each row is counted as it is converted, so the header's n sizes no array
+    A = [_floats(tokens, n, rowno) for rowno, tokens in itertools.islice(lines, m)]
+    b = [_floats(tokens, m, rowno) for rowno, tokens in lines]  # the b line, if m > 0
+    try:
+        A = np.array(A).reshape(m, n)
+    except ValueError:  # m = 0, and n past numpy's largest shape
+        raise PolytopeFormatError("n is too large", lineno) from None
+    return Polytope(A=A, b=np.array(b).reshape(m))
 
 
 def serialize_polytope(P: Polytope) -> str:

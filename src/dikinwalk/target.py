@@ -1,4 +1,5 @@
-"""Unnormalized targets pi(x) = 1_K(x) exp(-f(x)) and Gaussian parameters."""
+"""Unnormalized targets pi(x) = 1_K(x) exp(-f(x)), Gaussian parameters and
+their text format."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ from typing import Callable
 import numpy as np
 
 from dikinwalk._lapack import dpotrf, dpotrs
+from dikinwalk.polytope import DikinwalkError, data_lines
 
 
-class TargetError(ValueError):
+class TargetError(DikinwalkError):
     """Invalid target parameters."""
 
 
@@ -85,10 +87,49 @@ class GaussianTarget:
         return 0.5 * (inv + inv.T)
 
 
+def parse_gaussian(text: str) -> GaussianTarget:
+    """Gaussian file: "n", one line of n floats (mu), n lines of n floats
+    (Sigma). '#' lines are comments, as in the polytope format."""
+    lines = list(data_lines(text))
+    if not lines:
+        raise TargetError("empty Gaussian file")
+    lineno, first = lines[0]
+    try:
+        (token,) = first
+        n = int(token)
+    except ValueError:  # not one token, or not an integer
+        raise TargetError(f"line {lineno}: first line must be the dimension n") from None
+    if n < 1:
+        raise TargetError(f"line {lineno}: dimension n must be positive")
+    if len(lines) != n + 2:
+        lineno = lines[n + 2][0] if len(lines) > n + 2 else lineno
+        raise TargetError(f"line {lineno}: expected 1 mean line and {n} covariance rows")
+    rows = []
+    for lineno, tokens in lines[1:]:
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            raise TargetError(f"line {lineno}: non-numeric token in Gaussian file") from None
+        if len(tokens) != n:
+            raise TargetError(f"line {lineno}: wrong number of values in Gaussian file")
+    return GaussianTarget(mu=np.array(rows[0]), Sigma=np.array(rows[1:]))
+
+
+def serialize_gaussian(G: GaussianTarget) -> str:
+    """Inverse of parse_gaussian, bit-exact for finite doubles (17 sig digits)."""
+    lines = [str(G.n), " ".join(f"{v:.17g}" for v in G.mu)]
+    for row in G.Sigma:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:
     """f(x) = (1/2)(x - mu)^T Sigma^{-1} (x - mu)."""
     L, mu = G.L, G.mu
     evals = np.linalg.eigvalsh(G.Sigma)
+    # dpotrf factors some Sigma whose smallest eigenvalue eigvalsh puts at 0
+    if not evals.min() > 0:
+        raise TargetError("beta must be positive")
     alpha = 1.0 / float(evals.max())
     beta = 1.0 / float(evals.min())
 

@@ -23,15 +23,15 @@ import numpy as np
 
 from dikinwalk._lapack import dtrtrs
 from dikinwalk.metrics import MetricEval, MetricKind, SoftThreshold, evaluate_metric
-from dikinwalk.polytope import Polytope, contains
+from dikinwalk.polytope import DikinwalkError, Polytope, contains
 from dikinwalk.target import LogConcaveTarget
 
 
-class WalkError(ValueError):
+class WalkError(DikinwalkError):
     """Invalid chain configuration or state."""
 
 
-class NonFiniteDensityError(WalkError):
+class NonFiniteDensityError(DikinwalkError):
     """f returned a non-finite value at a proposed interior point."""
 
 

@@ -1,21 +1,26 @@
 import argparse
 import importlib.util
+import inspect
 import math
 import os
 import pathlib
 import pickle
+import pkgutil
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dikinwalk
 from dikinwalk import cli, diagnostics, metrics, planner
 from dikinwalk.cli import main, parse_gaussian, serialize_gaussian
 from dikinwalk.diagnostics import DiagnosticsError, diagnose_corpus
 from dikinwalk.metrics import MetricError
 from dikinwalk.planner import PlannerError
 from dikinwalk.polytope import (
+    DikinwalkError,
     PolytopeError,
     PolytopeFormatError,
     contains,
@@ -581,6 +586,35 @@ def test_multi_file_output_all_or_nothing(files, monkeypatch, argv, directory, k
     assert main([a.format(P=poly, G=gauss) for a in argv]) == 2
     assert not (tmp / kept).exists()
     assert not list(tmp.glob(".dikinwalk-*"))
+
+
+def test_negative_flag_values_in_exponent_form(tmp_path, capsys):
+    # argparse took "-5e-08" for an option, so --init-point and --x1 could
+    # not take coordinates written as warmstart writes them
+    poly, gauss = tmp_path / "box.txt", tmp_path / "g.txt"
+    poly.write_text(SCALED_BOX2)
+    gauss.write_text(STD2)
+    files = ["--polytope", str(poly), "--gaussian", str(gauss)]
+    assert main(["sample", *files, "--steps", "5", "--init-point", "-5e-08", "0.5"]) == 0
+    assert main(["warmstart", *files, "--x1", "-5e-08", "-.5", "--r-tilde", "0.1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["sample", "diagnose"])
+def test_out_naming_a_fifo_exits_2(files, monkeypatch, capsys, command):
+    # os.replace would swap the FIFO for a regular file; it is never opened
+    tmp, poly, gauss = files
+    monkeypatch.chdir(tmp)
+    if command == "sample":
+        fifo, argv = "s_1.csv", [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
+        argv += ["--out", "s.csv"]
+    else:
+        fifo, argv = "d.txt", ["diagnose", "--trials", "20", "--out", "d.txt"]
+    os.mkfifo(fifo)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp)) == sorted([fifo, "orthant2.txt", "std2.txt"])
 
 
 def test_sample_chain_files_all_or_nothing(files, monkeypatch):
@@ -1164,6 +1198,48 @@ def test_errors_survive_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert getattr(back, "line", None) == getattr(exc, "line", None)
+
+
+def test_every_library_error_is_a_dikinwalk_error():
+    # found by walking the modules, so that a new error class is checked too
+    classes = set()
+    for info in pkgutil.iter_modules(dikinwalk.__path__):
+        module = importlib.import_module(f"dikinwalk.{info.name}")
+        classes |= {
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        }
+    assert {cls.__name__ for cls in classes} >= {
+        "DikinwalkError", "PolytopeError", "TargetError", "MetricError",
+        "WalkError", "NonFiniteDensityError", "PlannerError", "DiagnosticsError",
+    }
+    assert [cls for cls in classes - {cli.CliError}
+            if not issubclass(cls, DikinwalkError)] == []
+    assert dikinwalk.DikinwalkError is DikinwalkError
+
+
+class UnlistedError(DikinwalkError):
+    """A library error that main knows by its base alone."""
+
+
+def test_any_library_error_from_a_chain_process_exits_4(files, monkeypatch, capsys):
+    # chain 1 runs in a forked process, which sends the error back
+    tmp, poly, gauss = files
+
+    def run_failing_in_chain_1(init, target, P, config):
+        if config.seed == 1:
+            raise UnlistedError("chain 1 failed")
+        return run(init, target, P, config)
+
+    run = cli.run
+    monkeypatch.setattr(cli, "run", run_failing_in_chain_1)
+    monkeypatch.setattr(cli, "_chain_processes", lambda chains: min(chains, 2))
+    monkeypatch.chdir(tmp)
+    argv = [a.format(P=poly, G=gauss) for a in SAMPLE_2_CHAINS]
+    assert main([*argv, "--out", "s.csv"]) == 4
+    assert capsys.readouterr().err == "error: chain 1 failed\n"
+    assert not list(tmp.glob("s_*.csv")) and not list(tmp.glob(".dikinwalk-*"))
+    _no_child_left()
 
 
 def test_diagnose_exit_zero(files, capsys):

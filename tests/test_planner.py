@@ -305,6 +305,44 @@ def test_modes_on_a_non_finite_system_raise_planner_error():
         solve_modes(_std_normal(2, mu=[-1e10, 0.0]), P)
 
 
+def test_modes_among_rows_of_far_apart_scales():
+    # K = (-1.949..., 0.396...) written with rows of scales 1e-217, 1e15 and
+    # 1e-181; nnls on the unscaled rows found no point and called K empty
+    P = Polytope(
+        A=np.array([[9.2661944798725919e-218], [999999999921509.62],
+                    [-5.39574898357936e-181]]),
+        b=np.array([-1.9244915915318457e-217, -1949473145005818,
+                    -2.1362966671924865e-181]),
+    )
+    gauss = GaussianTarget(mu=np.array([-84.269911840892476]),
+                           Sigma=np.array([[1.9304155494763877e-07]]))
+    x_dag = solve_modes(gauss, P).x_dag
+    np.testing.assert_allclose(x_dag, [-1949473145005818 / 999999999921509.62])
+
+
+def test_modes_far_along_near_antiparallel_rows():
+    # the two facets meet 1.55e6 away from mu; the nnls quotient kept too few
+    # digits there to pass the feasibility check, and K was called empty
+    P = Polytope(A=np.array([[-1.0, 1.0352e-5], [1.0, -2.425e-5]]),
+                 b=np.array([-15.52, 37.08]))
+    x_dag = solve_modes(_std_normal(2), P).x_dag
+    corner = np.linalg.solve(P.A, P.b)
+    np.testing.assert_allclose(x_dag, corner, rtol=1e-9)
+
+
+def test_warm_start_where_row_norms_overflow():
+    # (-1, 1)^2 with rows +-1e200 e_i: |a_i|^2 overflows, and read as an
+    # infinite |a_i| it left every margin 0 and every shifted b infinite
+    P = Polytope(A=1e200 * np.vstack([np.eye(2), -np.eye(2)]), b=np.full(4, -1e200))
+    np.testing.assert_allclose(warm_start_center(P, np.array([0.95, 0.0]), 0.1),
+                               [0.9, 0.0])
+    modes = solve_modes(_std_normal(2), P)
+    ball = warm_start_ball(_std_normal_target(2), P, np.zeros(2), 0.5, modes)
+    assert ball.r0 == 1.0
+    assert violated_constraint_count(P, np.zeros(2), 0.5) == 0
+    assert violated_constraint_count(P, np.zeros(2), 1.0) == 4
+
+
 def test_sample_warm_start_zero_radius_limit():
     from dikinwalk.planner import WarmStartBall
 

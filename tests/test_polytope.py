@@ -103,6 +103,22 @@ def test_parse_m_zero():
     assert P.m == 0 and P.n == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # m past any count of lines, and n past numpy's largest shape
+        ("1 99999999999999999999999\n0\n", "line 1: expected 99999999999999999999999"),
+        ("99999999999999999999999 0\n", "line 1: n is too large"),
+        # a missing row is reported as such, not as a b line of the wrong length
+        ("2 2\n1 0\n0 0\n", "line 1: expected 2 constraint rows and one b line"),
+        ("2 1\n1 0\n0\n0 1\n", "line 4: expected 1 constraint row and one b line"),
+    ],
+)
+def test_parse_huge_header_and_line_counts(text, message):
+    with pytest.raises(PolytopeFormatError, match=f"^{message}"):
+        parse_polytope(text)
+
+
 def test_make_orthant():
     P = make_orthant(2)
     np.testing.assert_array_equal(P.A, np.eye(2))

@@ -10,6 +10,7 @@ from dikinwalk.target import (
     GaussianTarget,
     LogConcaveTarget,
     TargetError,
+    parse_gaussian,
     quadratic_target,
 )
 
@@ -121,3 +122,31 @@ def test_sigma_is_factored_once_and_only_by_lapack(monkeypatch):
     assert "L=" not in repr(G)
     with pytest.raises(TypeError):
         GaussianTarget(mu=G.mu, Sigma=Sigma, L=G.L)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2\n0 0\n1 0\n0 x\n", 4),
+        ("# n\n\n2\n0 0 0\n1 0\n0 1\n", 4),  # comment and blank lines count
+        ("2 2\n0 0\n1 0\n0 1\n", 1),
+        ("2\n0 0\n1 0\n0 1\n0 0\n", 5),
+    ],
+)
+def test_gaussian_row_errors_name_their_line(text, line):
+    with pytest.raises(TargetError, match=f"^line {line}: "):
+        parse_gaussian(text)
+
+
+def test_sigma_singular_to_eigvalsh_is_a_target_error():
+    # dpotrf factors this Sigma (condition ~1e24), but eigvalsh puts its
+    # smallest eigenvalue at exactly 0, and beta = 1 / 0 raised
+    # ZeroDivisionError
+    G = GaussianTarget(
+        mu=np.array([0.023643249400513433, 0.90092739265187061]),
+        Sigma=np.array([[9486748.7194622532, -14491339.97136379],
+                        [-14491339.97136379, 22136027.882221539]]),
+    )
+    assert np.linalg.eigvalsh(G.Sigma).min() == 0.0
+    with pytest.raises(TargetError, match="beta must be positive"):
+        quadratic_target(G)
