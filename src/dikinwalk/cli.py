@@ -320,10 +320,9 @@ def _resolve_metric(args: argparse.Namespace, gauss: GaussianTarget, beta: float
         lam = args.lam
     else:
         lam = gauss.precision
-    lewis = {"c1": args.c1, "c2": args.c2, "q": args.q, "tol": args.lewis_tol}
-    lewis = {name: value for name, value in lewis.items() if value is not None}
+    lewis = {k: v for k, v in (("c1", args.c1), ("q", args.q)) if v is not None}
     if args.metric == "soft" and lewis:
-        raise CliError("--c1, --c2, --q and --lewis-tol need --metric lewis")
+        raise CliError("--c1 and --q need --metric lewis")
     # the metric's constructor validates the flag values
     try:
         if args.metric == "soft":
@@ -457,8 +456,6 @@ def cmd_budget(args: argparse.Namespace) -> int:
             C=args.C,
             kappa=args.kappa,
             beta_eta=args.beta_eta,
-            psi_n_sq=args.psi_n_sq,
-            c2=args.c2,
         )
         pairs = [("T", mixing_budget(qry))]
         if args.beyond_worst_case:
@@ -535,9 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Lewis metric only; None leaves RegularizedLewis's default
     p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--lewis-tol", type=float, default=None)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--thin", type=int, default=1)
@@ -573,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--beyond-worst-case adds, for that walk on --polytope (of --m rows in --n "
         "dimensions) and --gaussian, T_beyond and its delta -> infinity sentinel "
         "T_plain; both use log(2M/eps) and radius r_hat(eps/2M), so T_plain > T "
-        "by design."))
+        "by design. The weak regime takes psi_n^2 = max(1, log n); pass any other "
+        "psi_n^2, and the Lewis metric's (log m)^c2, as a factor of --C."))
     p.add_argument("--regime", choices=["strong", "weak"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -581,11 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None, help="1 for `sample` with "
                    "its default Sigma^-1; beta/alpha with --lambda-from-beta")
     p.add_argument("--beta-eta", type=float, default=None)
-    p.add_argument("--psi-n-sq", type=float, default=None)
     p.add_argument("--warmness", type=float, required=True, help="warmness M")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
-    p.add_argument("--c2", type=float, default=None, help="with --metric lewis (0)")
     p.add_argument("--beyond-worst-case", action="store_true")
     p.add_argument("--polytope", default=None)
     p.add_argument("--gaussian", default=None)

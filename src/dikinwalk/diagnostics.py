@@ -284,9 +284,8 @@ def _certify_instance(seed: int, trials: int, i: int) -> tuple[CertReport, ...]:
     # the Lewis metric's stability bound holds once the barrier part is
     # scaled up enough. c1=1 is marginally outside; c1=2 is not clean either.
     # Of seeds 0-59 999 at --trials 40, seed 40704 violates: its instance 2
-    # has n = 1, where the scale c1 sqrt(n) (log m)^c2 is just c1, and
-    # ssc[lewis] max_slack is 1.008. ROADMAP item 16 picks c1 from measured
-    # constants
+    # has n = 1, where the scale c1 sqrt(n) is just c1, and ssc[lewis]
+    # max_slack is 1.008. ROADMAP item 16 picks c1 from measured constants
     return (
         certify_ssc(P, x0, SoftThreshold(lam=1.0), trials, rng),
         certify_ssc(P, x0, RegularizedLewis(lam=1.0, c1=2.0), trials, rng),

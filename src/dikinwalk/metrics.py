@@ -17,7 +17,8 @@ from dikinwalk._lapack import dgeqrf, dpotrf, dpotrs, dtrtri
 from dikinwalk.polytope import DikinwalkError, Polytope, slack
 
 
-# lewis_weights gives up once its residual has not halved in this many iterations
+TOL = 1e-8  # lewis_weights stops once its relative residual is at most TOL
+# ... gives up once its residual has not halved in this many iterations
 STALL_ITERATIONS = 20
 # ... or after this many in all
 MAX_ITERATIONS = 1000
@@ -81,25 +82,19 @@ class SoftThreshold:
 
 @dataclass(frozen=True)
 class RegularizedLewis:
-    """Lewis-weighted barrier Hessian scaled by c1 sqrt(n) (log m)^c2, plus
-    lam * I, or plus lam if a matrix."""
+    """Lewis-weighted barrier Hessian scaled by c1 sqrt(n), plus lam * I, or
+    plus lam if a matrix. The paper's c1 (log m)^c2 is passed as c1."""
 
     lam: float | np.ndarray
     c1: float = 1.0
-    c2: float = 0.0
     q: int | None = None  # None -> default_lewis_q(m)
-    tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _regularizer(self.lam))
-        # written so that a NaN fails them too
-        if not (0 < self.c1 < math.inf and 0 <= self.c2 < math.inf):
-            raise MetricError("need finite c1 > 0 and c2 >= 0")
+        if not 0 < self.c1 < math.inf:  # written so that a NaN fails it too
+            raise MetricError("need finite c1 > 0")
         if self.q is not None and (self.q < 4 or self.q % 2 != 0):
             raise MetricError("q must be an even integer >= 4")
-        # tol >= 1 would accept the start w = n/m, which is not a fixed point
-        if not 0 < self.tol < 1:
-            raise MetricError("need 0 < tol < 1")
 
 
 MetricKind = Union[SoftThreshold, RegularizedLewis]
@@ -174,22 +169,23 @@ def _newton_side(m: int, n: int) -> bool:
     return m <= 3 * n or m <= 96
 
 
-def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
+def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     """Solve the weight fixed point w_i = tau_i(w) for the Lewis weights.
 
     tau_i(w) = w_i^{c_q} a_i^T (Ax^T W^{c_q} Ax)^{-1} a_i is the leverage score
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
-    first iterate with max_i |w_i - tau_i| / w_i <= tol. A square Ax (m = n)
+    first iterate with max_i |w_i - tau_i| / w_i <= TOL. A square Ax (m = n)
     returns the start w = 1 at once: every leverage score of a full-rank
     square matrix is 1, so it is the exact fixed point whatever roundoff
-    leaves in the residual. Once the residual has not fallen to half its last
-    such mark in STALL_ITERATIONS iterations (near a facet, or on a nearly
-    rank-deficient Ax, roundoff holds it above tol), the iteration starts
-    again from w = n/m with L taken from a QR (below). It raises MetricError
-    ("did not converge") when that restart stalls too, or after
-    MAX_ITERATIONS iterations in all. These rules count iterations, so the
-    outcome is a function of Ax.
+    leaves in the residual; where Cholesky fails (cond(Ax) past ~1e8), it has
+    full rank if its QR Ax = Q R has min |R_ii| > n eps max |R_ii|. Once the
+    residual has not fallen to half its last such mark in STALL_ITERATIONS
+    iterations (near a facet, or on a nearly rank-deficient Ax, roundoff
+    holds it above TOL), the iteration starts again from w = n/m with L taken
+    from a QR (below). It raises MetricError ("did not converge") when that
+    restart stalls too, or after MAX_ITERATIONS iterations in all. These
+    rules count iterations, so the outcome is a function of Ax.
 
     Leverage scores. Each iteration factors the weighted Gram
     Ax^T W^{c_q} Ax = L L^T, inverts L explicitly and forms Z = Ax L^{-T}, so
@@ -263,6 +259,10 @@ def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
                 # feed G, so same-seed output depends on every bit
                 L, info = dpotrf(Ax.T @ (wc[:, None] * Ax), lower=1, clean=1)
                 if info > 0:
+                    if m == n:  # w = 1 if QR finds full rank; see the docstring
+                        d = np.abs(dgeqrf(Ax)[0].diagonal())
+                        if d.min() > n * np.finfo(float).eps * d.max():
+                            return LewisWeights(w=w, residual=0.0, iterations=it)
                     raise MetricError("rank-deficient weighted Gram matrix")
             Linv, info = dtrtri(L, lower=1, overwrite_c=1)
             if info > 0:
@@ -276,8 +276,8 @@ def lewis_weights(Ax: np.ndarray, q: int, tol: float = 1e-8) -> LewisWeights:
             if not math.isfinite(residual):
                 raise MetricError("non-finite Lewis weights")
             # at m = n the start w = 1 is the exact fixed point; roundoff in
-            # tau, ~cond(Ax)^2 eps, may hold the residual above tol
-            if residual <= tol or m == n:
+            # tau, ~cond(Ax)^2 eps, may hold the residual above TOL
+            if residual <= TOL or m == n:
                 return LewisWeights(w=w, residual=residual, iterations=it)
             if residual <= 0.5 * mark:
                 mark, mark_it = residual, it
@@ -324,8 +324,8 @@ def evaluate_metric(
     the barrier term H:
 
     - SoftThreshold: H = A_x^T A_x = sum_i a_i a_i^T / s_i^2;
-    - RegularizedLewis: H = c1 sqrt(n) (log m)^c2 A_x^T W A_x, W the Lewis
-      weights of A_x (needs m >= n).
+    - RegularizedLewis: H = c1 sqrt(n) A_x^T W A_x, W the Lewis weights of
+      A_x (needs m >= n).
 
     A caller that already holds the slacks s = Ax - b at a 1-D float x, all
     positive, passes them to skip recomputing and rechecking them.
@@ -340,12 +340,8 @@ def evaluate_metric(
     elif isinstance(kind, RegularizedLewis):
         m, n = Ax.shape
         q = kind.q if kind.q is not None else default_lewis_q(m)
-        lw = lewis_weights(Ax, q=q, tol=kind.tol)
-        try:
-            scale = kind.c1 * math.sqrt(n) * math.log(m) ** kind.c2
-        except OverflowError:
-            raise MetricError("non-finite metric: (log m)^c2 overflows") from None
-        G = scale * (Ax.T @ (lw.w[:, None] * Ax))
+        lw = lewis_weights(Ax, q=q)
+        G = kind.c1 * math.sqrt(n) * (Ax.T @ (lw.w[:, None] * Ax))
     else:
         raise MetricError(f"unknown metric kind {kind!r}")
     lam = kind.lam

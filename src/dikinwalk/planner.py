@@ -45,9 +45,8 @@ class MixingBudgetQuery:
     """Inputs for a closed-form iteration budget.
 
     regime is 'strong' or 'weak' and metric 'soft' or 'lewis'; kappa applies
-    to the strong regime, beta_eta (the product beta * eta) to the weak one,
-    and c2 (the Lewis metric's exponent of log m, None for 0) to Lewis only.
-    psi_n_sq defaults to max(1, log n).
+    to the strong regime, beta_eta (the product beta * eta) to the weak one.
+    A psi_n^2 other than max(1, log n), or the Lewis metric's (log m)^c2, goes into C.
     """
 
     regime: str
@@ -59,8 +58,6 @@ class MixingBudgetQuery:
     C: float
     kappa: Optional[float] = None
     beta_eta: Optional[float] = None
-    psi_n_sq: Optional[float] = None
-    c2: Optional[float] = None
 
     def __post_init__(self):
         if self.regime not in ("strong", "weak"):
@@ -77,17 +74,13 @@ class MixingBudgetQuery:
             raise PlannerError("strong regime needs kappa")
         if self.regime == "weak" and self.beta_eta is None:
             raise PlannerError("weak regime needs beta_eta")
-        if self.metric == "soft" and self.c2 is not None:
-            raise PlannerError("c2 applies to the Lewis metric only")
-        values = (self.M, self.C, self.kappa, self.beta_eta, self.psi_n_sq, self.c2)
+        values = (self.M, self.C, self.kappa, self.beta_eta)
         if not all(v is None or math.isfinite(v) for v in values):
-            raise PlannerError("M, C, kappa, beta_eta, psi_n_sq and c2 must be finite")
+            raise PlannerError("M, C, kappa and beta_eta must be finite")
         if self.kappa is not None and not self.kappa >= 1:
             raise PlannerError("kappa = beta / alpha must be >= 1")
-        if not all(v is None or v > 0 for v in (self.beta_eta, self.psi_n_sq)):
-            raise PlannerError("beta_eta and psi_n_sq must be positive")
-        if (self.c2 or 0.0) < 0:
-            raise PlannerError("c2 must be >= 0")
+        if self.beta_eta is not None and not self.beta_eta > 0:
+            raise PlannerError("beta_eta must be positive")
 
 
 @dataclass(frozen=True)
@@ -308,23 +301,16 @@ def _ceil_budget(T: float) -> int:
 def mixing_budget(qry: MixingBudgetQuery) -> int:
     """ceil(C * regime factor * n * log(sqrt(M)/eps)).
 
-    Factor: (m + kappa) for soft/strong; (n^{3/2} + kappa)(log m)^{c2} for
-    Lewis/strong; psi_n^2 (m + beta eta) for soft/weak; and
-    psi_n^2 (n^{3/2} + beta eta)(log m)^{c2} for Lewis/weak.
+    Factor: (m + kappa) for soft/strong; (n^{3/2} + kappa) for Lewis/strong;
+    psi_n^2 (m + beta eta) for soft/weak; and psi_n^2 (n^{3/2} + beta eta)
+    for Lewis/weak, psi_n^2 = max(1, log n).
     """
     n, m = qry.n, qry.m
-    head, log_m_pow = float(m), 1.0
-    if qry.metric == "lewis":
-        head = n**1.5
-        try:
-            log_m_pow = math.log(m) ** (qry.c2 or 0.0) if m > 1 else 1.0
-        except OverflowError:  # _ceil_budget rejects the infinite budget
-            log_m_pow = math.inf
+    head = n**1.5 if qry.metric == "lewis" else float(m)
     if qry.regime == "strong":
-        factor = (head + qry.kappa) * log_m_pow
+        factor = head + qry.kappa
     else:
-        psi_sq = qry.psi_n_sq or max(1.0, math.log(n))  # validated > 0 if given
-        factor = psi_sq * (head + qry.beta_eta) * log_m_pow
+        factor = max(1.0, math.log(n)) * (head + qry.beta_eta)
     log_term = max(0.0, math.log(math.sqrt(qry.M) / qry.eps))
     return _ceil_budget(qry.C * factor * n * log_term)
 

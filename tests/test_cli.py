@@ -306,11 +306,8 @@ def test_sample_at_a_tiny_step_size_accepts(files, capsys):
     "flags",
     [["--lambda", "-1"], ["--lambda", "1", "--metric", "lewis", "--q", "3"],
      ["--lambda", "1", "--metric", "lewis", "--c1", "0"],
-     ["--lambda", "1", "--metric", "lewis", "--lewis-tol", "-1"],
      ["--lambda", "inf"],
-     *(["--lambda", "1", "--metric", "lewis", flag, value]
-       for flag, value in (("--c1", "inf"), ("--c2", "inf"), ("--c2", "nan"),
-                           ("--lewis-tol", "inf"), ("--lewis-tol", "1")))],
+     ["--lambda", "1", "--metric", "lewis", "--c1", "inf"]],
 )
 def test_sample_bad_metric_flags_exit_2(files, flags):
     tmp, poly, gauss = files
@@ -343,17 +340,25 @@ def test_sample_overflowing_metric_exits_4(tmp_path, metric, capsys, recwarn):
     assert not out.exists()
 
 
-def test_sample_lewis_scale_overflow_exits_4(files, capsys):
-    # (log 4)^1e308 overflows a float
-    tmp, poly, gauss = files
-    box = tmp / "box.txt"
-    box.write_text("2 4\n1 0\n-1 0\n0 1\n0 -1\n-1 -1 -1 -1\n")
+def test_sample_lewis_on_a_nearly_singular_square_system(tmp_path):
+    # cond(A_x) ~ 2.5e14 at the start, past the Gram's Cholesky; A_x has full
+    # rank, so its Lewis weights are 1 and the walk runs as the soft one does
+    polytope = "2 2\n1 -0.5\n-1 0.50000000000001\n-1 -1\n"
+    poly = tmp_path / "wedge.txt"
+    poly.write_text(polytope)
+    gauss = tmp_path / "g.txt"
+    gauss.write_text("2\n0 0\n1 0\n0 1\n")
+    out = tmp_path / "s.csv"
     code = main([
-        "sample", "--polytope", str(box), "--gaussian", gauss, "--metric", "lewis",
-        "--c2", "1e308", "--lambda", "1", "--steps", "5", "--init-point", "0", "0",
+        "sample", "--polytope", str(poly), "--gaussian", str(gauss), "--metric",
+        "lewis", "--lambda", "1", "--steps", "50", "--init-point", "0", "0",
+        "--out", str(out),
     ])
-    assert code == 4
-    assert capsys.readouterr().err == "error: non-finite metric: (log m)^c2 overflows\n"
+    assert code == 0
+    P = parse_polytope(polytope)
+    rows = _data_lines(out)
+    assert len(rows) == 50
+    assert all(contains(P, np.array(ln.split(","), dtype=float)) for ln in rows)
 
 
 @pytest.mark.parametrize(
@@ -370,8 +375,7 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
          "--outer-radius", "-1"],
         *(["budget", "--regime", "weak", "--m", "4", "--n", "2", "--beta-eta", "1",
            "--warmness", "2", "--eps", "0.1", "--C", "1", *flags]
-          for flags in (["--kappa", "nan"], ["--C", "inf"], ["--beta-eta", "nan"],
-                        ["--psi-n-sq", "inf"], ["--metric", "lewis", "--c2", "-1"])),
+          for flags in (["--kappa", "nan"], ["--C", "inf"], ["--beta-eta", "nan"])),
         ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "inf",
          "--warmness", "2", "--eps", "0.1", "--C", "1"],
         ["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "inf"],
@@ -379,26 +383,18 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
          "--steps", "10", "--init-warmstart", "--r-tilde", "inf"],
         *(["warmstart", "--polytope", "{B}", "--gaussian", "{G}", "--r-tilde", "0.5",
            "--x1", *x1] for x1 in (["0", "0", "0"], ["0"], ["nan", "0"], ["0", "inf"])),
-        # an overflowing budget, and kappa < 1, beta_eta <= 0 or psi_n_sq <= 0
+        # an overflowing budget, and kappa < 1 or beta_eta <= 0
         *(["budget", "--regime", "strong", "--m", "4", "--n", "2", "--warmness", "7",
            "--eps", "0.1", *flags]
           for flags in (["--kappa", "1", "--C", "1e308"],
                         ["--kappa", "-100", "--C", "1"],
-                        ["--kappa", "0.5", "--C", "1"],
-                        ["--kappa", "1", "--C", "1", "--metric", "lewis",
-                         "--c2", "nan"])),
-        *(["budget", "--regime", "weak", "--m", "4", "--n", "2", "--warmness", "7",
-           "--eps", "0.1", "--C", "1", *flags]
-          for flags in (["--beta-eta", "-50"],
-                        ["--beta-eta", "1", "--psi-n-sq", "-3"])),
+                        ["--kappa", "0.5", "--C", "1"])),
+        ["budget", "--regime", "weak", "--m", "4", "--n", "2", "--warmness", "7",
+         "--eps", "0.1", "--C", "1", "--beta-eta", "-50"],
         # T is finite, but T_plain = C (m + kappa) n log(2M / eps) overflows
         ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
          "--warmness", "1", "--eps", "0.1", "--C", "6.5e306", "--beyond-worst-case",
          "--polytope", "{B}", "--gaussian", "{G}"],
-        # (log m)^c2 overflows
-        ["budget", "--metric", "lewis", "--c2", "1e308", "--regime", "strong",
-         "--m", "4", "--n", "2", "--kappa", "1", "--warmness", "7", "--eps", "0.1",
-         "--C", "1"],
         # the warm-start bound squares the outer radius
         ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--r-tilde", "0.1",
          "--outer-radius", "1e200"],
@@ -424,14 +420,10 @@ def test_sample_lewis_scale_overflow_exits_4(files, capsys):
          "--steps", "10", "--init-point", "1", "1"],
         # the soft metric has no Lewis knobs; these used to be ignored
         ["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
-         "--steps", "10", "--init-point", "1", "1", "--c1", "1e300", "--q", "3",
-         "--lewis-tol", "5"],
+         "--steps", "10", "--init-point", "1", "1", "--c1", "1e300", "--q", "3"],
         *(["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
            "--warmness", "7", "--eps", "0.1", "--C", "1", *flags]
           for flags in (
-              # the same for the budget's only Lewis knob
-              ["--metric", "soft", "--c2", "1e300"],
-              ["--metric", "soft", "--c2", "0"],
               # the files used to be ignored without --beyond-worst-case
               ["--polytope", "{X}", "--gaussian", "{X}"],
               ["--polytope", "{B}"],
@@ -489,11 +481,17 @@ SWEEP_BASES = {
                       "--steps", "5", "--init-warmstart"],
 }
 SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e-10", "3")
+# numeric flags since deleted: (log m)^c2 is a factor of --c1 and of --C,
+# psi_n^2 one of --C, and the Lewis solve's tolerance is metrics.TOL
+REMOVED_NUMERIC_FLAGS = {
+    "sample": ("--c2", "--lewis-tol"), "budget": ("--c2", "--psi-n-sq"),
+}
 
 
 def _sweep_cases():
     """Each base argv with each of its int or float options set to each value
-    that the option's type parses (argparse rejects the others itself)."""
+    that the option's type parses (argparse rejects the others itself), and
+    with each deleted numeric flag of its command set to each value."""
     parser = cli.build_parser()
     commands = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
@@ -518,7 +516,11 @@ def _sweep_cases():
                 if flag == "--init-point":
                     # the pair with --init-warmstart would exit 2 before run
                     head = [a for a in argv if a != "--init-warmstart"]
-                yield pytest.param([*head, *tokens], id=f"{base}{flag}={value}")
+                yield pytest.param([*head, *tokens], None, id=f"{base}{flag}={value}")
+        for flag in REMOVED_NUMERIC_FLAGS.get(argv[0], ()):
+            for value in SWEEP_VALUES:
+                yield pytest.param([*argv, f"{flag}={value}"], flag,
+                                   id=f"{base}{flag}={value}")
 
 
 @pytest.fixture(scope="module")
@@ -530,12 +532,21 @@ def sweep_files(tmp_path_factory):
     return str(tmp / "orthant2.txt"), str(tmp / "std2.txt"), str(tmp / "scaled.txt")
 
 
-@pytest.mark.parametrize("argv", _sweep_cases())
-def test_numeric_flag_values_exit_with_a_documented_code(sweep_files, argv, capsys):
+@pytest.mark.parametrize("argv, removed", _sweep_cases())
+def test_numeric_flag_values_exit_with_a_documented_code(
+    sweep_files, argv, removed, capsys
+):
     # no traceback, whatever the value: an exit code of the documented ones
-    # and at most one line on stderr
+    # and at most one line on stderr; a deleted flag is argparse's usage error
     poly, gauss, scaled = sweep_files
-    code = main([a.format(P=poly, G=gauss, S=scaled) for a in argv])
+    argv = [a.format(P=poly, G=gauss, S=scaled) for a in argv]
+    if removed:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {removed}=" in capsys.readouterr().err
+        return
+    code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3, 4)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
@@ -1038,8 +1049,20 @@ def test_sample_warm_start_needs_no_outer_radius(
        "--steps", "5", "--init-warmstart", "--outer-radius", "10"], "--outer-radius"),
      (["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
        "--warmness", "2", "--eps", "0.1", "--C", "1", "--metric", "lewis",
-       "--c1", "5"], "--c1")],
-    ids=["sample-outer-radius", "budget-c1"],
+       "--c1", "5"], "--c1"),
+     # the paper's (log m)^c2 is a factor of --c1 and of --C, psi_n^2 one of
+     # --C, and the Lewis solve's tolerance is metrics.TOL
+     (["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+       "--metric", "lewis", "--steps", "5", "--init-point", "1", "1",
+       "--c2", "1.5"], "--c2"),
+     (["sample", "--polytope", "{P}", "--gaussian", "{G}", "--lambda", "1",
+       "--metric", "lewis", "--steps", "5", "--init-point", "1", "1",
+       "--lewis-tol", "1e-6"], "--lewis-tol"),
+     *((["budget", "--regime", "weak", "--m", "4", "--n", "2", "--beta-eta", "1",
+         "--warmness", "2", "--eps", "0.1", "--C", "1", "--metric", "lewis",
+         flag, "1.5"], flag) for flag in ("--c2", "--psi-n-sq"))],
+    ids=["sample-outer-radius", "budget-c1", "sample-c2", "sample-lewis-tol",
+         "budget-c2", "budget-psi-n-sq"],
 )
 def test_removed_flags_are_unknown(files, argv, flag, capsys):
     _, poly, gauss = files

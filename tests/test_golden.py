@@ -240,7 +240,9 @@ def test_golden_warmstart(files, capsys, case):
 
 BUDGET_ARGV = [
     ["--regime", "strong", "--kappa", "2"],
-    ["--regime", "weak", "--metric", "lewis", "--c2", "1.5", "--beta-eta", "3"],
+    # --C (log 8)^1.5: the paper's (log m)^c2 of the Lewis metric at c2 = 1.5
+    ["--regime", "weak", "--metric", "lewis", "--C", "2.9986106122171137",
+     "--beta-eta", "3"],
     ["--regime", "strong", "--kappa", "2", "--beyond-worst-case",
      "--polytope", "p.txt", "--gaussian", "g.txt"],
 ]

@@ -10,9 +10,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dikinwalk.metrics import lewis_weights
+from dikinwalk.metrics import TOL, lewis_weights
 
-TOL = 1e-8
 # the weights of two inputs agree to within the stopping tolerance times the
 # fixed point's sensitivity, which the conditioning bound below keeps small
 RTOL = 1e-6
@@ -36,8 +35,8 @@ def lewis_instance(draw):
 def test_permuting_rows_permutes_weights(case, data):
     Ax, q, _ = case
     perm = np.array(data.draw(st.permutations(range(Ax.shape[0]))))
-    w = lewis_weights(Ax, q, tol=TOL).w
-    w_perm = lewis_weights(Ax[perm], q, tol=TOL).w
+    w = lewis_weights(Ax, q).w
+    w_perm = lewis_weights(Ax[perm], q).w
     np.testing.assert_allclose(w_perm, w[perm], rtol=RTOL)
 
 
@@ -48,23 +47,23 @@ def test_weights_invariant_under_right_factor(case):
     n = Ax.shape[1]
     T = rng.standard_normal((n, n))
     assume(np.linalg.cond(T) <= 100)
-    w = lewis_weights(Ax, q, tol=TOL).w
-    np.testing.assert_allclose(lewis_weights(Ax @ T, q, tol=TOL).w, w, rtol=RTOL)
+    w = lewis_weights(Ax, q).w
+    np.testing.assert_allclose(lewis_weights(Ax @ T, q).w, w, rtol=RTOL)
 
 
 @SETTINGS
 @given(lewis_instance(), st.floats(1e-3, 1e3))
 def test_weights_invariant_under_scaling(case, alpha):
     Ax, q, _ = case
-    w = lewis_weights(Ax, q, tol=TOL).w
-    np.testing.assert_allclose(lewis_weights(alpha * Ax, q, tol=TOL).w, w, rtol=RTOL)
+    w = lewis_weights(Ax, q).w
+    np.testing.assert_allclose(lewis_weights(alpha * Ax, q).w, w, rtol=RTOL)
 
 
 @SETTINGS
 @given(lewis_instance())
 def test_weights_sum_to_n_and_lie_in_unit_interval(case):
     Ax, q, _ = case
-    lw = lewis_weights(Ax, q, tol=TOL)
+    lw = lewis_weights(Ax, q)
     assert lw.residual <= TOL
     assert abs(lw.w.sum() - Ax.shape[1]) <= 1e-6 * Ax.shape[1]
     assert np.all(lw.w > 0.0)

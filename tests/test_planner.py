@@ -414,18 +414,18 @@ def test_mixing_budget_all_regimes():
     n, m = 4, 20
     log_term = math.log(math.sqrt(9.0) / 0.1)
     assert mixing_budget(
-        MixingBudgetQuery(regime="strong", m=m, n=n, metric="lewis", c2=1.0, M=9.0,
+        MixingBudgetQuery(regime="strong", m=m, n=n, metric="lewis", M=9.0,
                           eps=0.1, C=1.0, kappa=3.0)
-    ) == math.ceil((n**1.5 + 3.0) * math.log(m) * n * log_term)
+    ) == math.ceil((n**1.5 + 3.0) * n * log_term)
     psi = max(1.0, math.log(n))
     assert mixing_budget(
         MixingBudgetQuery(regime="weak", m=m, n=n, metric="soft", M=9.0,
                           eps=0.1, C=1.0, beta_eta=2.0)
     ) == math.ceil(psi * (m + 2.0) * n * log_term)
     assert mixing_budget(
-        MixingBudgetQuery(regime="weak", m=m, n=n, metric="lewis", c2=1.0, M=9.0,
+        MixingBudgetQuery(regime="weak", m=m, n=n, metric="lewis", M=9.0,
                           eps=0.1, C=1.0, beta_eta=2.0)
-    ) == math.ceil(psi * (n**1.5 + 2.0) * math.log(m) * n * log_term)
+    ) == math.ceil(psi * (n**1.5 + 2.0) * n * log_term)
 
 
 def test_budget_query_validation():
@@ -443,14 +443,14 @@ def test_budget_query_validation():
                           eps=0.1, C=1.0, kappa=1.0)
     # non-finite values used to reach math.ceil and fail there
     good = dict(regime="weak", m=4, n=2, metric="soft", M=2.0, eps=0.1, C=1.0,
-                kappa=1.0, beta_eta=1.0, psi_n_sq=1.0)
-    for field in ("M", "C", "kappa", "beta_eta", "psi_n_sq"):
+                kappa=1.0, beta_eta=1.0)
+    for field in ("M", "C", "kappa", "beta_eta"):
         for bad in (math.nan, math.inf):
             with pytest.raises(PlannerError, match="finite"):
                 MixingBudgetQuery(**{**good, field: bad})
     # kappa = beta / alpha >= 1; a negative budget used to come out
     for field, bad in (("kappa", 0.5), ("kappa", -100.0), ("beta_eta", 0.0),
-                       ("beta_eta", -50.0), ("psi_n_sq", -3.0)):
+                       ("beta_eta", -50.0)):
         with pytest.raises(PlannerError):
             MixingBudgetQuery(**{**good, field: bad})
 
@@ -460,8 +460,6 @@ def test_budgets_that_overflow_raise():
                             M=7.0, eps=0.1, C=1e308, kappa=1.0)
     with pytest.raises(PlannerError, match="not finite"):
         mixing_budget(qry)
-    with pytest.raises(PlannerError, match="not finite"):  # (log m)^c2 overflows
-        mixing_budget(dataclasses.replace(qry, metric="lewis", c2=1e308, C=1.0))
     P = make_box([-1.0, -1.0], [1.0, 1.0])
     modes = solve_modes(_std_normal(2), P)
     with pytest.raises(PlannerError, match="not finite"):
@@ -568,16 +566,7 @@ def test_beyond_worst_case_needs_a_strong_soft_query_of_the_polytope(change):
         beyond_worst_case_budget(qry, P, _std_normal_target(3), modes)
 
 
-def test_budget_query_metric_and_c2():
+def test_budget_query_unknown_metric():
     base = dict(regime="strong", m=4, n=2, M=2.0, eps=0.1, C=1.0, kappa=1.0)
     with pytest.raises(PlannerError, match="unknown metric"):
         MixingBudgetQuery(metric="barrier", **base)
-    # c2 is the Lewis metric's exponent of log m; the soft metric has none
-    for c2 in (0.0, 1.5):
-        with pytest.raises(PlannerError, match="Lewis metric only"):
-            MixingBudgetQuery(metric="soft", c2=c2, **base)
-    for c2 in (-1.0, math.nan, math.inf):
-        with pytest.raises(PlannerError):
-            MixingBudgetQuery(metric="lewis", c2=c2, **base)
-    lewis = MixingBudgetQuery(metric="lewis", **base)
-    assert mixing_budget(lewis) == mixing_budget(dataclasses.replace(lewis, c2=0.0))
