@@ -441,10 +441,8 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    files = [args.polytope, args.gaussian]
-    if [path is not None for path in files] != [args.beyond_worst_case] * 2:
-        message = "--beyond-worst-case takes --polytope and --gaussian, which need it"
-        raise CliError(message)
+    if (args.polytope is None) != (args.gaussian is None):
+        raise CliError("the beyond-worst-case budget takes --polytope and --gaussian")
     try:
         qry = MixingBudgetQuery(
             regime=args.regime,
@@ -458,12 +456,12 @@ def cmd_budget(args: argparse.Namespace) -> int:
             beta_eta=args.beta_eta,
         )
         pairs = [("T", mixing_budget(qry))]
-        if args.beyond_worst_case:
+        if args.polytope is not None:
             P, gauss = _load_inputs(args)
             check_beyond_worst_case(qry, P)
     except PlannerError as exc:
         raise CliError(str(exc)) from exc
-    if args.beyond_worst_case:
+    if args.polytope is not None:
         modes = solve_modes(gauss, P)
         try:
             res = beyond_worst_case_budget(qry, P, quadratic_target(gauss), modes)
@@ -565,11 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="closed-form iteration budgets", description=(
         "T = C (m + kappa) n log(sqrt(M)/eps) for the soft metric, strong regime. "
-        "--beyond-worst-case adds, for that walk on --polytope (of --m rows in --n "
-        "dimensions) and --gaussian, T_beyond and its delta -> infinity sentinel "
-        "T_plain; both use log(2M/eps) and radius r_hat(eps/2M), so T_plain > T "
-        "by design. The weak regime takes psi_n^2 = max(1, log n); pass any other "
-        "psi_n^2, and the Lewis metric's (log m)^c2, as a factor of --C."))
+        "--polytope (of --m rows in --n dimensions) with --gaussian adds that walk's "
+        "beyond-worst-case T_beyond and its delta -> infinity sentinel T_plain; both "
+        "use log(2M/eps) and radius r_hat(eps/2M), so T_plain > T by design. The weak "
+        "regime takes psi_n^2 = max(1, log n); pass any other psi_n^2, and the Lewis "
+        "metric's (log m)^c2, as a factor of --C."))
     p.add_argument("--regime", choices=["strong", "weak"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -580,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmness", type=float, required=True, help="warmness M")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--C", type=float, required=True)
-    p.add_argument("--beyond-worst-case", action="store_true")
     p.add_argument("--polytope", default=None)
     p.add_argument("--gaussian", default=None)
     p.add_argument("--out", default=None)

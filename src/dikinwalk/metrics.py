@@ -176,16 +176,16 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
     first iterate with max_i |w_i - tau_i| / w_i <= TOL. A square Ax (m = n)
-    returns the start w = 1 at once: every leverage score of a full-rank
-    square matrix is 1, so it is the exact fixed point whatever roundoff
-    leaves in the residual; where Cholesky fails (cond(Ax) past ~1e8), it has
-    full rank if its QR Ax = Q R has min |R_ii| > n eps max |R_ii|. Once the
-    residual has not fallen to half its last such mark in STALL_ITERATIONS
-    iterations (near a facet, or on a nearly rank-deficient Ax, roundoff
-    holds it above TOL), the iteration starts again from w = n/m with L taken
-    from a QR (below). It raises MetricError ("did not converge") when that
-    restart stalls too, or after MAX_ITERATIONS iterations in all. These
-    rules count iterations, so the outcome is a function of Ax.
+    never enters the iteration: a full-rank square's leverage scores are all
+    1, so it returns the exact fixed point w = 1 with residual 0 if the Gram's
+    Cholesky succeeds or, where that fails (cond(Ax) past ~1e8), its QR
+    Ax = Q R has min |R_ii| > n eps max |R_ii|, and is otherwise rank-deficient.
+    Once the residual has not fallen to half its last such mark in
+    STALL_ITERATIONS iterations (near a facet, or on a nearly rank-deficient
+    Ax, roundoff holds it above TOL), the iteration starts again from w = n/m
+    with L taken from a QR (below). It raises MetricError ("did not converge")
+    when that restart stalls too, or after MAX_ITERATIONS iterations in all.
+    These rules count iterations, so the outcome is a function of Ax.
 
     Leverage scores. Each iteration factors the weighted Gram
     Ax^T W^{c_q} Ax = L L^T, inverts L explicitly and forms Z = Ax L^{-T}, so
@@ -240,6 +240,13 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
         gram_finite = np.isfinite(Ax.T @ Ax).all()
     if not gram_finite:
         raise MetricError("non-finite row-scaled Gram matrix")
+    if m == n:  # the docstring's square rule
+        # .copy(): a gemm Gram as in the loop, not a syrk with other low bits
+        if dpotrf(Ax.T @ Ax.copy(), lower=1, clean=1)[1] > 0:
+            d = np.abs(dgeqrf(Ax)[0].diagonal())
+            if not d.min() > n * np.finfo(float).eps * d.max():
+                raise MetricError("rank-deficient weighted Gram matrix")
+        return LewisWeights(w=np.ones(m), residual=0.0, iterations=1)
     w = np.full(m, n / m)
     u = u_prev = np.log(w)
     omega = 1.0
@@ -259,10 +266,6 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
                 # feed G, so same-seed output depends on every bit
                 L, info = dpotrf(Ax.T @ (wc[:, None] * Ax), lower=1, clean=1)
                 if info > 0:
-                    if m == n:  # w = 1 if QR finds full rank; see the docstring
-                        d = np.abs(dgeqrf(Ax)[0].diagonal())
-                        if d.min() > n * np.finfo(float).eps * d.max():
-                            return LewisWeights(w=w, residual=0.0, iterations=it)
                     raise MetricError("rank-deficient weighted Gram matrix")
             Linv, info = dtrtri(L, lower=1, overwrite_c=1)
             if info > 0:
@@ -275,9 +278,7 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
             residual = float((np.abs(w - tau) / w).max())
             if not math.isfinite(residual):
                 raise MetricError("non-finite Lewis weights")
-            # at m = n the start w = 1 is the exact fixed point; roundoff in
-            # tau, ~cond(Ax)^2 eps, may hold the residual above TOL
-            if residual <= TOL or m == n:
+            if residual <= TOL:
                 return LewisWeights(w=w, residual=residual, iterations=it)
             if residual <= 0.5 * mark:
                 mark, mark_it = residual, it

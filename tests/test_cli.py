@@ -106,8 +106,7 @@ def test_gaussian_of_another_dimension_exits_2(files, command, capsys):
         "sample": ["--lambda", "1", "--steps", "5", "--init-point", "1", "1"],
         "warmstart": ["--r-tilde", "0.1", "--outer-radius", "10"],
         "budget": ["--regime", "strong", "--m", "2", "--n", "2", "--kappa", "1",
-                   "--warmness", "2", "--eps", "0.1", "--C", "1",
-                   "--beyond-worst-case"],
+                   "--warmness", "2", "--eps", "0.1", "--C", "1"],
         "oracle": ["--n-samples", "5"],
     }[command]
     assert main(argv) == 2
@@ -393,7 +392,7 @@ def test_sample_lewis_on_a_nearly_singular_square_system(tmp_path):
          "--eps", "0.1", "--C", "1", "--beta-eta", "-50"],
         # T is finite, but T_plain = C (m + kappa) n log(2M / eps) overflows
         ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
-         "--warmness", "1", "--eps", "0.1", "--C", "6.5e306", "--beyond-worst-case",
+         "--warmness", "1", "--eps", "0.1", "--C", "6.5e306",
          "--polytope", "{B}", "--gaussian", "{G}"],
         # the warm-start bound squares the outer radius
         ["warmstart", "--polytope", "{P}", "--gaussian", "{G}", "--r-tilde", "0.1",
@@ -424,19 +423,17 @@ def test_sample_lewis_on_a_nearly_singular_square_system(tmp_path):
         *(["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
            "--warmness", "7", "--eps", "0.1", "--C", "1", *flags]
           for flags in (
-              # the files used to be ignored without --beyond-worst-case
+              # the two files select the beyond-worst-case budget together
               ["--polytope", "{X}", "--gaussian", "{X}"],
               ["--polytope", "{B}"],
+              ["--gaussian", "{G}"],
               # the beyond-worst-case budget is the strong-regime soft walk's
               # on the polytope's own m and n; these used to print one anyway
-              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
-               "--metric", "lewis"],
-              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
-               "--regime", "weak", "--beta-eta", "1"],
-              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
-               "--m", "100", "--n", "7"],
-              ["--beyond-worst-case", "--polytope", "{B}", "--gaussian", "{G}",
-               "--m", "5"],
+              ["--polytope", "{B}", "--gaussian", "{G}", "--metric", "lewis"],
+              ["--polytope", "{B}", "--gaussian", "{G}", "--regime", "weak",
+               "--beta-eta", "1"],
+              ["--polytope", "{B}", "--gaussian", "{G}", "--m", "100", "--n", "7"],
+              ["--polytope", "{B}", "--gaussian", "{G}", "--m", "5"],
           )),
     ],
 )
@@ -466,7 +463,7 @@ SWEEP_BASES = {
                   "--r-tilde", "0.1"],
     "budget-strong": ["budget", "--regime", "strong", "--m", "2", "--n", "2",
                       "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
-                      "--metric", "soft", "--beyond-worst-case",
+                      "--metric", "soft",
                       "--polytope", "{P}", "--gaussian", "{G}"],
     "budget-lewis": ["budget", "--regime", "strong", "--m", "2", "--n", "2",
                      "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
@@ -1060,9 +1057,13 @@ def test_sample_warm_start_needs_no_outer_radius(
        "--lewis-tol", "1e-6"], "--lewis-tol"),
      *((["budget", "--regime", "weak", "--m", "4", "--n", "2", "--beta-eta", "1",
          "--warmness", "2", "--eps", "0.1", "--C", "1", "--metric", "lewis",
-         flag, "1.5"], flag) for flag in ("--c2", "--psi-n-sq"))],
+         flag, "1.5"], flag) for flag in ("--c2", "--psi-n-sq")),
+     # --polytope and --gaussian select the beyond-worst-case budget
+     (["budget", "--regime", "strong", "--m", "2", "--n", "2", "--kappa", "1",
+       "--warmness", "2", "--eps", "0.1", "--C", "1", "--polytope", "{P}",
+       "--gaussian", "{G}", "--beyond-worst-case"], "--beyond-worst-case")],
     ids=["sample-outer-radius", "budget-c1", "sample-c2", "sample-lewis-tol",
-         "budget-c2", "budget-psi-n-sq"],
+         "budget-c2", "budget-psi-n-sq", "budget-beyond-worst-case"],
 )
 def test_removed_flags_are_unknown(files, argv, flag, capsys):
     _, poly, gauss = files
@@ -1092,7 +1093,7 @@ def test_modes_of_an_empty_polytope_exit_4(tmp_path, command, capsys):
         "warmstart": ["warmstart", *files, "--r-tilde", "0.1", "--outer-radius", "1"],
         "budget": ["budget", "--regime", "strong", "--m", "2", "--n", "1",
                    "--kappa", "1", "--warmness", "2", "--eps", "0.1", "--C", "1",
-                   "--beyond-worst-case", *files],
+                   *files],
     }[command]
     assert main(argv) == 4
     assert "polytope is empty" in capsys.readouterr().err
@@ -1148,7 +1149,7 @@ def test_budget_beyond_worst_case(files, capsys):
     code = main([
         "budget", "--regime", "strong", "--m", "4", "--n", "2",
         "--metric", "soft", "--kappa", "1", "--warmness", "10",
-        "--eps", "0.1", "--C", "1", "--beyond-worst-case",
+        "--eps", "0.1", "--C", "1",
         "--polytope", str(box), "--gaussian", gauss,
     ])
     assert code == 0

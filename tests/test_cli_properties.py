@@ -115,7 +115,7 @@ def commands(draw, n, m, x0):
     m += draw(st.sampled_from([0, 0, 0, 1]))  # the polytope's m, or not
     return [
         "budget", "--regime", "strong", "--m", str(m), "--n", str(n), "--kappa", "1",
-        "--warmness", "7", "--eps", "0.1", "--C", "1", "--beyond-worst-case",
+        "--warmness", "7", "--eps", "0.1", "--C", "1",
     ]
 
 

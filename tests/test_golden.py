@@ -168,6 +168,42 @@ GOLDEN = {
 }
 
 
+# the trailing '#' stats block of each sampling golden above. The chains make
+# the same moves on every core, so these lines match on every core; they are
+# checked first, so that a run on a core with no hash recorded still checks
+# the moves
+STATS = {
+    "soft": [
+        ["# proposed=142 accepted=105",
+         "# lazy_skips=158 rejected_outside=1 rejected_mh=36",
+         "# step_size=1 seed=7"],
+        ["# proposed=152 accepted=114",
+         "# lazy_skips=148 rejected_outside=0 rejected_mh=38",
+         "# step_size=0.80000000000000004 seed=8"],
+    ],
+    "lewis": ["# proposed=22 accepted=14",
+              "# lazy_skips=18 rejected_outside=0 rejected_mh=8",
+              "# step_size=0.90000000000000002 seed=3"],
+    "precision": [
+        ["# proposed=34 accepted=14",
+         "# lazy_skips=26 rejected_outside=1 rejected_mh=19",
+         "# step_size=1.5 seed=5"],
+        ["# proposed=35 accepted=16",
+         "# lazy_skips=25 rejected_outside=3 rejected_mh=16",
+         "# step_size=1.5 seed=5"],
+    ],
+}
+
+
+def _stats(text: str) -> list[str]:
+    """The trailing '#' lines of a sample output."""
+    lines = text.splitlines()
+    k = len(lines)
+    while k > 0 and lines[k - 1].startswith("#"):
+        k -= 1
+    return lines[k:]
+
+
 def _body_sha256(text: str) -> str:
     lines = text.splitlines(keepends=True)
     k = 0
@@ -176,10 +212,14 @@ def _body_sha256(text: str) -> str:
     return hashlib.sha256("".join(lines[k:]).encode()).hexdigest()
 
 
-def _cli_body_sha256(argv, capsys) -> str:
+def _cli_output(argv, capsys) -> str:
     capsys.readouterr()
     assert cli.main(argv) == 0
-    return _body_sha256(capsys.readouterr().out)
+    return capsys.readouterr().out
+
+
+def _cli_body_sha256(argv, capsys) -> str:
+    return _body_sha256(_cli_output(argv, capsys))
 
 
 @pytest.fixture
@@ -203,6 +243,7 @@ def test_golden_sample_soft_two_chains(inputs, tmp_path):
     argv += ["--init-warmstart", "--header", "--out", "s.csv"]
     assert cli.main(argv) == 0
     chains = [(tmp_path / f"s_{i}.csv").read_text() for i in range(2)]
+    assert [_stats(text) for text in chains] == STATS["soft"]
     assert [_body_sha256(text) for text in chains] == per_core(GOLDEN["soft"])
 
 
@@ -210,7 +251,9 @@ def test_golden_sample_lewis(inputs, capsys):
     argv = ["sample", *inputs, "--metric", "lewis", "--steps", "40"]
     argv += ["--burn-in", "10", "--step-size", "0.9", "--seed", "3"]
     argv += ["--init-point", "0.1", "0", "0"]
-    assert _cli_body_sha256(argv, capsys) == per_core(GOLDEN["lewis"])
+    text = _cli_output(argv, capsys)
+    assert _stats(text) == STATS["lewis"]
+    assert _body_sha256(text) == per_core(GOLDEN["lewis"])
 
 
 @pytest.mark.parametrize("case, metric", enumerate(["soft", "lewis"]))
@@ -219,7 +262,9 @@ def test_golden_sample_precision(files, capsys, case, metric):
     # both rejection kinds occur for both metrics
     argv += ["--step-size", "1.5", "--seed", "5"]
     argv += ["--init-point", "0.1", "0", "0"]
-    assert _cli_body_sha256(argv, capsys) == per_core(GOLDEN["precision"][case])
+    text = _cli_output(argv, capsys)
+    assert _stats(text) == STATS["precision"][case]
+    assert _body_sha256(text) == per_core(GOLDEN["precision"][case])
 
 
 # warmstart without and with --x1 and --outer-radius, the default r_tilde
@@ -243,8 +288,8 @@ BUDGET_ARGV = [
     # --C (log 8)^1.5: the paper's (log m)^c2 of the Lewis metric at c2 = 1.5
     ["--regime", "weak", "--metric", "lewis", "--C", "2.9986106122171137",
      "--beta-eta", "3"],
-    ["--regime", "strong", "--kappa", "2", "--beyond-worst-case",
-     "--polytope", "p.txt", "--gaussian", "g.txt"],
+    ["--regime", "strong", "--kappa", "2", "--polytope", "p.txt",
+     "--gaussian", "g.txt"],
 ]
 
 

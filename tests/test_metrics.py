@@ -259,24 +259,37 @@ def test_lewis_rank_deficient_raises():
         lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0]]), q=4)
 
 
-def test_lewis_square_returns_the_exact_fixed_point():
+def test_lewis_square_whose_cholesky_succeeds_is_not_judged_by_qr():
+    # cond ~1e16: the Gram's Cholesky succeeds on a roundoff pivot, though
+    # QR's |R_22| ~2e-16 fails the rank test; w = 1 as the Cholesky says
+    lw = lewis_weights(np.array([[1.0, 1.0], [1.0, 1.0000000000000002]]), q=4)
+    assert (lw.w == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "cond", [1.0, 1e5, 1e10, 1e14], ids=["cond-1", "cond-1e5", "cond-1e10", "cond-1e14"]
+)
+def test_lewis_square_is_settled_before_the_iteration(cond):
     # every leverage score of a full-rank square matrix is 1, so w = 1 is the
-    # fixed point; at cond = 3e5 roundoff in tau alone holds the residual
-    # near 5e-6, above tol, however many steps are taken
+    # exact fixed point; an iteration would not find it: from cond ~1e5
+    # roundoff in tau, ~cond^2 eps, holds its residual above tol, and from
+    # ~1e8 the Gram's Cholesky fails
     rng = np.random.default_rng(0)
     U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    Ax = U @ np.diag([3.0, 2.0, 1.0, 1e-5]) @ V.T
-    lw = lewis_weights(Ax, q=4)
-    assert lw.iterations == 1
+    A = U @ np.diag(np.geomspace(1.0, 1.0 / cond, 4)) @ V.T
+    lw = lewis_weights(A, q=4)
     assert (lw.w == 1.0).all()
-
-
-def test_lewis_square_past_cholesky_reads_its_rank_off_qr():
-    # cond(Ax) ~ 2.5e14: the Gram's Cholesky fails, but Ax has full rank, so
-    # w = 1 is still the exact fixed point
-    lw = lewis_weights(np.array([[1.0, -0.5], [-1.0, 0.50000000000001]]), q=4)
-    assert (lw.w == 1.0).all()
+    assert lw.iterations == 1 and lw.residual == 0.0
+    # at x = 0 every slack is 1, so A_x = A, and G is built with w = 1
+    P = Polytope(A=A, b=-np.ones(4))
+    M = evaluate_metric(P, np.zeros(4), RegularizedLewis(lam=0.5, c1=1.5))
+    G = 1.5 * math.sqrt(4) * (A.T @ (np.ones(4)[:, None] * A))
+    G += 0.5 * np.eye(4)
+    Q = scipy.linalg.cholesky(G, lower=False)
+    np.testing.assert_array_equal(M.G, G)
+    np.testing.assert_array_equal(M.Q, Q)
+    assert M.logdet == 2.0 * float(np.log(Q.diagonal()).sum())
 
 
 @pytest.mark.parametrize(
