@@ -8,8 +8,8 @@ more: ~0.25 s and ~23 MB in every process, and every command factors a
 matrix. So the extension is loaded straight from its file and registered
 under its own name, where a later `import scipy.linalg` finds and reuses it.
 Every Cholesky factorization in the package is this dpotrf, and the Lewis
-weights' QRs this dgeqrf; numpy's linalg serves only eigvalsh, norms
-and lewis_fixed_point_residual's reference QR.
+weights' QRs dgeqrf and dgeqp3; numpy's linalg serves only eigvalsh, norms,
+_nearest_point's lstsq and lewis_fixed_point_residual's QR and solve.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+dgeqp3 = _flapack.dgeqp3
 dgeqrf = _flapack.dgeqrf
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs

@@ -109,17 +109,19 @@ def rejection_oracle(G, P: Polytope, N: int, rng: np.random.Generator) -> Oracle
 
 
 def compare_moments(batch_a: np.ndarray, batch_b: np.ndarray) -> MomentReport:
-    """Per-coordinate z-scores of mean_a - mean_b with pooled standard errors."""
+    """Per-coordinate z-scores of mean_a - mean_b with pooled standard errors;
+    where both batches are constant, 0 for equal means and +-inf otherwise."""
     a = np.atleast_2d(np.asarray(batch_a, dtype=float))
     b = np.atleast_2d(np.asarray(batch_b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DiagnosticsError("both batches must be nonempty")
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise DiagnosticsError("each batch needs at least 2 rows for a variance")
     if a.shape[1] != b.shape[1]:
         raise DiagnosticsError("batch dimensions differ")
     var_a, var_b = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
     se = np.sqrt(var_a / a.shape[0] + var_b / b.shape[0])
+    diff = a.mean(axis=0) - b.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, (a.mean(axis=0) - b.mean(axis=0)) / se, 0.0)
+        z = np.where(diff == 0.0, 0.0, diff / se)
     return MomentReport(z_scores=z, max_abs_z=float(np.max(np.abs(z))))
 
 
@@ -265,11 +267,7 @@ def random_polytope_with_interior(
 ) -> tuple[Polytope, np.ndarray]:
     """Random full-dimensional instance with a known interior point at the origin."""
     A = rng.standard_normal((m, n))
-    norms = np.linalg.norm(A, axis=1)
-    while np.any(norms == 0):
-        A = rng.standard_normal((m, n))
-        norms = np.linalg.norm(A, axis=1)
-    A /= norms[:, None]
+    A /= np.linalg.norm(A, axis=1)[:, None]  # a zero row has probability 0
     b = -rng.uniform(MIN_SLACK, 1.5, size=m)  # slack at 0 is -b > 0
     return Polytope(A=A, b=b), np.zeros(n)
 

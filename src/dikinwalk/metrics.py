@@ -13,11 +13,12 @@ from typing import Union
 
 import numpy as np
 
-from dikinwalk._lapack import dgeqrf, dpotrf, dpotrs, dtrtri
+from dikinwalk._lapack import dgeqp3, dgeqrf, dpotrf, dpotrs, dtrtri
 from dikinwalk.polytope import DikinwalkError, Polytope, slack
 
 
 TOL = 1e-8  # lewis_weights stops once its relative residual is at most TOL
+RANK_TOL = 1e-6  # ... its last stage keeps the columns with |R_ii| > RANK_TOL |R_11|
 # ... gives up once its residual has not halved in this many iterations
 STALL_ITERATIONS = 20
 # ... or after this many in all
@@ -25,7 +26,7 @@ MAX_ITERATIONS = 1000
 
 
 class MetricError(DikinwalkError):
-    """Metric evaluation failed (exterior point, rank deficiency, ...)."""
+    """Metric evaluation failed (exterior point, non-finite values, ...)."""
 
 
 def default_lewis_q(m: int) -> int:
@@ -120,7 +121,7 @@ class MetricEval:
 
 @dataclass(frozen=True)
 class LewisWeights:
-    """Converged weights with the stationarity residual actually achieved."""
+    """Converged weights with the residual achieved (0.0: a square's exact w = 1)."""
 
     w: np.ndarray
     residual: float
@@ -176,23 +177,25 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     of row i of W^{c_q / 2} Ax, with c_q = 1 - 2/q. The iteration runs on
     u = log w for the map u -> log tau(u), from w = n/m, and stops at the
     first iterate with max_i |w_i - tau_i| / w_i <= TOL. A square Ax (m = n)
-    never enters the iteration: a full-rank square's leverage scores are all
-    1, so it returns the exact fixed point w = 1 with residual 0 if the Gram's
-    Cholesky succeeds or, where that fails (cond(Ax) past ~1e8), its QR
-    Ax = Q R has min |R_ii| > n eps max |R_ii|, and is otherwise rank-deficient.
-    Once the residual has not fallen to half its last such mark in
-    STALL_ITERATIONS iterations (near a facet, or on a nearly rank-deficient
-    Ax, roundoff holds it above TOL), the iteration starts again from w = n/m
-    with L taken from a QR (below). It raises MetricError ("did not converge")
-    when that restart stalls too, or after MAX_ITERATIONS iterations in all.
-    These rules count iterations, so the outcome is a function of Ax.
+    returns w = 1 (residual 0.0) at once: an invertible square's leverage
+    scores are all 1 whatever the weights, and a singular one's limit is 1.
 
     Leverage scores. Each iteration factors the weighted Gram
     Ax^T W^{c_q} Ax = L L^T, inverts L explicitly and forms Z = Ax L^{-T}, so
     K = Z Z^T = Ax (Ax^T W^{c_q} Ax)^{-1} Ax^T and tau_i = w_i^{c_q} |z_i|^2.
-    L is Cholesky's, with roundoff ~cond(Ax)^2 eps in tau, or after a restart
-    R^T for the Householder QR of W^{c_q / 2} Ax, at ~cond(Ax) eps and
-    ~2.3-2.9x the cost from (3, 8) to (100, 1000).
+
+    Stages. A failure restarts the iteration at a later stage, from w = k/m
+    for its k columns. Stage 0 takes L from Cholesky (roundoff ~cond(Ax)^2
+    eps in tau), stage 1 R^T from a Householder QR of W^{c_q / 2} Ax
+    (~cond(Ax) eps, ~2.3-2.9x the cost from (3, 8) to (100, 1000)); stage 2
+    runs stage 1 on the r columns of Ax, in order, whose pivoted QR has
+    |R_ii| > RANK_TOL |R_11|: leverage scores depend only on the column
+    space, so its weights sum to the numerical rank r. A stall (the residual
+    has not halved its last such mark in STALL_ITERATIONS iterations, as
+    roundoff near a facet or a rank deficiency holds it above TOL) moves one
+    stage on, a failed Cholesky or triangular inverse to stage 2; one at
+    stage 2, or MAX_ITERATIONS iterations in all, raises MetricError ("did
+    not converge").
 
     Jacobian. With P = W^{c_q / 2} K W^{c_q / 2}, the projection onto the
     columns of W^{c_q / 2} Ax, d log tau_i / d u_j = c_q (delta_ij - P_ij^2 /
@@ -221,8 +224,8 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     Its rate sigma / (1 + sqrt(1 - sigma^2)) beats the 1 - 1/q of the damped
     step w <- sqrt(w tau) (gamma = 1/2), e.g. 0.52 against 0.95 at q = 20.
 
-    Every constant follows from q and the update from the shape; the weights
-    are a deterministic function of Ax.
+    Every constant follows from q, the update from the shape and each stage
+    from Ax and iteration counts; the weights are a deterministic function of Ax.
     """
     Ax = np.asarray(Ax, dtype=float)
     m, n = Ax.shape
@@ -237,59 +240,56 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     # checked once: each weighted Gram below differs from this one by the
     # row factors w**cq, and one that still overflows fails as a MetricError
     with np.errstate(over="ignore", invalid="ignore"):
-        gram_finite = np.isfinite(Ax.T @ Ax).all()
-    if not gram_finite:
-        raise MetricError("non-finite row-scaled Gram matrix")
+        if not np.isfinite(Ax.T @ Ax).all():
+            raise MetricError("non-finite row-scaled Gram matrix")
     if m == n:  # the docstring's square rule
-        # .copy(): a gemm Gram as in the loop, not a syrk with other low bits
-        if dpotrf(Ax.T @ Ax.copy(), lower=1, clean=1)[1] > 0:
-            d = np.abs(dgeqrf(Ax)[0].diagonal())
-            if not d.min() > n * np.finfo(float).eps * d.max():
-                raise MetricError("rank-deficient weighted Gram matrix")
         return LewisWeights(w=np.ones(m), residual=0.0, iterations=1)
+    stage, B, k = 0, Ax, n  # B: the k columns of Ax that the stage runs on
     w = np.full(m, n / m)
     u = u_prev = np.log(w)
-    omega = 1.0
+    omega, residual = 1.0, math.inf
     mark, mark_it = np.inf, 0  # the last residual at most half the mark before
-    qr = False
     # a leverage score that underflows to 0 or turns NaN (log 0, 0 / 0) ends
     # in the non-finite MetricError below; numpy need not warn first.
     # Entered once per call, not per iteration: it costs ~2.6 us
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERATIONS + 1):
             wc = w**cq
-            if qr:  # L = R^T, the docstring's fallback
-                L = np.triu(dgeqrf(np.sqrt(wc)[:, None] * Ax)[0][:n]).T
+            if stage:  # L = R^T, the docstring's stages 1 and 2
+                L, info = np.triu(dgeqrf(np.sqrt(wc)[:, None] * B)[0][:k]).T, 0
             else:
                 # scipy's LAPACK called directly: numpy's linalg links a
                 # different build whose low bits differ, and these weights
                 # feed G, so same-seed output depends on every bit
-                L, info = dpotrf(Ax.T @ (wc[:, None] * Ax), lower=1, clean=1)
-                if info > 0:
-                    raise MetricError("rank-deficient weighted Gram matrix")
-            Linv, info = dtrtri(L, lower=1, overwrite_c=1)
-            if info > 0:
-                raise MetricError("rank-deficient weighted Gram matrix")
+                L, info = dpotrf(B.T @ (wc[:, None] * B), lower=1, clean=1)
             # an explicit inverse and one gemm: OpenBLAS's triangular solve
             # against the m rows runs far below gemm's rate. L's upper triangle
             # is zero (clean=1, triu), which dtrtri keeps and the gemm reads
-            Z = Ax @ Linv.T
-            tau = wc * np.einsum("ij,ij->i", Z, Z)
-            residual = float((np.abs(w - tau) / w).max())
-            if not math.isfinite(residual):
-                raise MetricError("non-finite Lewis weights")
-            if residual <= TOL:
-                return LewisWeights(w=w, residual=residual, iterations=it)
-            if residual <= 0.5 * mark:
-                mark, mark_it = residual, it
-            if it - mark_it >= STALL_ITERATIONS or it == MAX_ITERATIONS:
-                if qr or it == MAX_ITERATIONS:
+            if info == 0:
+                Linv, info = dtrtri(L, lower=1, overwrite_c=1)
+            if info == 0:
+                Z = B @ Linv.T
+                tau = wc * np.einsum("ij,ij->i", Z, Z)
+                residual = float((np.abs(w - tau) / w).max())
+                if not math.isfinite(residual):
+                    raise MetricError("non-finite Lewis weights")
+                if residual <= TOL:
+                    return LewisWeights(w=w, residual=residual, iterations=it)
+                if residual <= 0.5 * mark:
+                    mark, mark_it = residual, it
+            if info or it - mark_it >= STALL_ITERATIONS or it == MAX_ITERATIONS:
+                if stage == 2 or it == MAX_ITERATIONS:
                     raise MetricError(
                         f"Lewis weights did not converge: residual {residual:.3e} "
                         f"after {it} iterations"
                     )
-                qr, mark, mark_it, omega = True, np.inf, it, 1.0  # restart
-                w = np.full(m, n / m)
+                stage, mark, mark_it, omega = 2 if info else stage + 1, np.inf, it, 1.0
+                if stage == 2:  # the docstring's r columns; R_11's is always kept
+                    R, jpvt = dgeqp3(Ax)[:2]
+                    d = np.abs(R.diagonal())
+                    k = 1 + np.count_nonzero(d[1:] > RANK_TOL * d[0])
+                    B = Ax[:, np.sort(jpvt[:k] - 1)]  # jpvt counts from 1
+                w = np.full(m, k / m)
                 u = u_prev = np.log(w)
                 continue
             if newton:

@@ -26,7 +26,7 @@ from dikinwalk.planner import (
     solve_modes,
     warm_start_ball,
 )
-from dikinwalk.polytope import contains, make_box, make_orthant
+from dikinwalk.polytope import Polytope, contains, make_box, make_orthant
 from dikinwalk.target import GaussianTarget, LogConcaveTarget, quadratic_target
 from dikinwalk.walk import WalkConfig, format_csv, log_accept_ratio, run
 
@@ -290,6 +290,40 @@ def test_criterion_7_stationarity_rotated(kind):
         z.max() < 4.0,
         f"{kind}, rotated: max |z| means {z[:3].max():.2f}, squares "
         f"{z[3:6].max():.2f}, cross {z[6]:.2f} over {n_chains} chains",
+    )
+
+
+def test_criterion_7_stationarity_lewis_near_parallel_rows():
+    # three rows parallel to ~1e-6, so the weighted Gram's Cholesky fails at
+    # every point and the Lewis weights come from the rank-1 column subset
+    P = Polytope(
+        A=np.array([
+            [240.77047178941964, -192.08338142364204],
+            [77278.681687259537, -61651.87275719121],
+            [492.75734767910387, -393.1150563549316],
+        ]),
+        b=np.array([-0.67687848241418258, -0.27709951756571793, -2.3037559381187451]),
+    )
+    gauss = GaussianTarget(mu=np.zeros(2), Sigma=np.eye(2))
+    target = quadratic_target(gauss)
+    metric = RegularizedLewis(lam=1.0)
+    n_chains = 5000
+    starts = rejection_oracle(gauss, P, n_chains, np.random.default_rng(711)).samples
+    finals = np.empty_like(starts)
+    for i in range(n_chains):
+        cfg = WalkConfig(metric=metric, r=1.0, lazy=False, steps=5, thin=5, seed=70000 + i)
+        finals[i] = run(starts[i], target, P, cfg).samples[-1]
+    reference = rejection_oracle(gauss, P, n_chains, np.random.default_rng(712)).samples
+
+    def moments(x):
+        return np.column_stack([x, x * x, x[:, 0] * x[:, 1]])
+
+    z = np.abs(compare_moments(moments(finals), moments(reference)).z_scores)
+    _verdict(
+        7,
+        z.max() < 4.0,
+        f"lewis, near-parallel rows: max |z| means {z[:2].max():.2f}, squares "
+        f"{z[2:4].max():.2f}, cross {z[4]:.2f} over {n_chains} chains",
     )
 
 

@@ -360,6 +360,32 @@ def test_sample_lewis_on_a_nearly_singular_square_system(tmp_path):
     assert all(contains(P, np.array(ln.split(","), dtype=float)) for ln in rows)
 
 
+def test_sample_lewis_with_near_parallel_rows(tmp_path):
+    # three rows parallel to ~1e-6: A_x is numerically rank 1 at every point,
+    # so the Lewis weights come from one column, where the soft metric needs none
+    polytope = (
+        "2 3\n240.77047178941964 -192.08338142364204\n"
+        "77278.681687259537 -61651.87275719121\n"
+        "492.75734767910387 -393.1150563549316\n"
+        "-0.67687848241418258 -0.27709951756571793 -2.3037559381187451\n"
+    )
+    poly = tmp_path / "parallel.txt"
+    poly.write_text(polytope)
+    gauss = tmp_path / "g.txt"
+    gauss.write_text("2\n0 0\n1 0\n0 1\n")
+    out = tmp_path / "s.csv"
+    code = main([
+        "sample", "--polytope", str(poly), "--gaussian", str(gauss), "--metric",
+        "lewis", "--lambda", "1", "--steps", "2000", "--init-point", "0", "0",
+        "--out", str(out),
+    ])
+    assert code == 0
+    P = parse_polytope(polytope)
+    rows = _data_lines(out)
+    assert len(rows) == 2000
+    assert all(contains(P, np.array(ln.split(","), dtype=float)) for ln in rows)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

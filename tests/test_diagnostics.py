@@ -66,6 +66,24 @@ def test_compare_moments_detects_shift():
     assert abs(rep.z_scores[1]) < 5
 
 
+def test_compare_moments_constant_batches():
+    # se = 0: equal means are no evidence of a difference, unequal ones are
+    rep = compare_moments([[1.0, 5.0], [1.0, 5.0]], [[2.0, 5.0], [2.0, 5.0]])
+    assert rep.z_scores.tolist() == [-math.inf, 0.0]
+    assert rep.max_abs_z == math.inf
+    assert compare_moments([[3.0], [3.0]], [[1.0], [1.0]]).z_scores[0] == math.inf
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_compare_moments_needs_two_rows_per_batch(rows):
+    a = np.zeros((rows, 2))
+    b = np.ones((5, 2))
+    with pytest.raises(DiagnosticsError, match="at least 2 rows"):
+        compare_moments(a, b)
+    with pytest.raises(DiagnosticsError, match="at least 2 rows"):
+        compare_moments(b, a)
+
+
 def test_compare_moments_calibrated():
     rng = np.random.default_rng(44)
     a = rng.standard_normal((100000, 2))

@@ -3,14 +3,27 @@
 The weights of Ax depend only on its rows as a set and on its column space,
 so permuting rows permutes them and a right factor T or a scalar leaves them
 unchanged. At the fixed point they are the leverage scores of W^{c_q/2} Ax,
-which sum to n and lie in (0, 1].
+which sum to its rank and lie in (0, 1]. A numerically rank-deficient Ax,
+rows near-parallel to earlier ones, still gets weights, and the Lewis metric
+is built wherever the soft one is.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dikinwalk.metrics import TOL, lewis_weights
+from dikinwalk._lapack import dpotrf
+from dikinwalk.metrics import (
+    RANK_TOL,
+    TOL,
+    RegularizedLewis,
+    SoftThreshold,
+    default_lewis_q,
+    evaluate_metric,
+    lewis_weights,
+)
+from dikinwalk.polytope import Polytope
 
 # the weights of two inputs agree to within the stopping tolerance times the
 # fixed point's sensitivity, which the conditioning bound below keeps small
@@ -68,3 +81,46 @@ def test_weights_sum_to_n_and_lie_in_unit_interval(case):
     assert abs(lw.w.sum() - Ax.shape[1]) <= 1e-6 * Ax.shape[1]
     assert np.all(lw.w > 0.0)
     assert np.all(lw.w <= 1.0 + TOL)
+
+
+@st.composite
+def near_parallel_instance(draw):
+    """(A, s): n <= 3, m from n to 3n + 2, rows N(0, I) scaled by 10^U(-3, 3),
+    each later row with probability 1/2 a multiple of an earlier one tilted
+    by 10^U(-16, -4) of its norm, slacks e^U(-2, 2)."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(n, 3 * n + 3))  # uniform: hypothesis would favour m = n
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, size=m)[:, None]
+    for j in range(1, m):
+        if rng.random() < 0.5:
+            i = rng.integers(j)
+            tilt = 10.0 ** rng.uniform(-16, -4) * np.linalg.norm(A[i])
+            A[j] = (A[i] + tilt * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3)
+    return A, np.exp(rng.uniform(-2, 2, size=m))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(near_parallel_instance())
+def test_near_parallel_rows_get_weights_that_sum_to_the_rank(case):
+    A, s = case
+    Ax = A / s[:, None]
+    m, n = Ax.shape
+    q = default_lewis_q(m)
+    w = lewis_weights(Ax, q).w
+    assert np.isfinite(w).all() and (w > 0.0).all()
+    sv = np.linalg.svd(Ax, compute_uv=False)
+    if m == n:  # every square, singular or not, gets w = 1
+        assert (w == 1.0).all()
+    elif sv[-1] >= 1e-4 * sv[0]:  # full rank, with tau's roundoff below TOL
+        assert abs(w.sum() - n) <= 1e-6 * n
+    elif dpotrf(Ax.T @ ((np.full(m, n / m) ** (1 - 2 / q))[:, None] * Ax), lower=1)[1]:
+        # the first Gram's Cholesky fails, so the weights are those of the
+        # columns that span Ax and sum to their count. Where it succeeds on a
+        # roundoff pivot, the iteration can meet TOL with the sum off by ~5%
+        R = scipy.linalg.qr(Ax, mode="r", pivoting=True)[0]
+        r = int(np.count_nonzero(np.abs(R.diagonal()) > RANK_TOL * abs(R[0, 0])))
+        assert abs(w.sum() - r) <= 1e-6 * r
+    P = Polytope(A=A, b=-s)
+    evaluate_metric(P, np.zeros(n), SoftThreshold(lam=1.0))
+    evaluate_metric(P, np.zeros(n), RegularizedLewis(lam=1.0))

@@ -251,17 +251,21 @@ def test_lewis_near_a_facet_converges_by_the_qr_restart():
     assert lewis_fixed_point_residual(STALLED_NEAR_A_FACET, lw.w, 6) <= 1e-7
 
 
-def test_lewis_rank_deficient_raises():
-    with pytest.raises(MetricError, match="rank-deficient"):
-        lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), q=4)
-    # a singular square Ax too, though a full-rank one returns w = 1 at once
-    with pytest.raises(MetricError, match="rank-deficient"):
-        lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0]]), q=4)
+def test_lewis_rank_deficient_has_closed_form_weights():
+    # rank 1: the weights are those of the column a = (1, 2, 3), whose fixed
+    # point w_i = w_i^{c_q} a_i^2 / sum_j w_j^{c_q} a_j^2 is a_i^q / sum_j a_j^q;
+    # the Gram's Cholesky fails, so they come from the rank-selected columns
+    a = np.array([1.0, 2.0, 3.0])
+    lw = lewis_weights(np.column_stack([a, a]), q=4)
+    np.testing.assert_allclose(lw.w, [1 / 98, 16 / 98, 81 / 98], rtol=1e-7)
+    assert lw.residual <= 1e-8
+    # a singular square gets the limit of an invertible square's weights, 1
+    assert (lewis_weights(np.array([[1.0, 1.0], [2.0, 2.0]]), q=4).w == 1.0).all()
 
 
 def test_lewis_square_whose_cholesky_succeeds_is_not_judged_by_qr():
     # cond ~1e16: the Gram's Cholesky succeeds on a roundoff pivot, though
-    # QR's |R_22| ~2e-16 fails the rank test; w = 1 as the Cholesky says
+    # QR's |R_22| is ~2e-16; a square's w = 1 asks neither of them
     lw = lewis_weights(np.array([[1.0, 1.0], [1.0, 1.0000000000000002]]), q=4)
     assert (lw.w == 1.0).all()
 
