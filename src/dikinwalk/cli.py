@@ -91,12 +91,15 @@ class CliError(Exception):
     """A bad file or flag value; main exits 2."""
 
 
-def _read_file(path: str) -> str:
+def _parse_file(path: str, parse: Callable):
+    """parse(text of the file); a file that cannot be read or parsed exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except (PolytopeError, TargetError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _manifest(args: argparse.Namespace) -> str:
@@ -334,14 +337,8 @@ def _resolve_metric(args: argparse.Namespace, gauss: GaussianTarget, beta: float
 
 def _load_inputs(args: argparse.Namespace):
     """(P, gauss) from --polytope and --gaussian, of one dimension."""
-    try:
-        P = parse_polytope(_read_file(args.polytope))
-    except PolytopeError as exc:
-        raise CliError(f"{args.polytope}: {exc}") from exc
-    try:
-        gauss = parse_gaussian(_read_file(args.gaussian))
-    except TargetError as exc:
-        raise CliError(f"{args.gaussian}: {exc}") from exc
+    P = _parse_file(args.polytope, parse_polytope)
+    gauss = _parse_file(args.gaussian, parse_gaussian)
     if gauss.n != P.n:
         raise CliError("Gaussian and polytope dimensions differ")
     return P, gauss
@@ -443,6 +440,13 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
 def cmd_budget(args: argparse.Namespace) -> int:
     if (args.polytope is None) != (args.gaussian is None):
         raise CliError("the beyond-worst-case budget takes --polytope and --gaussian")
+    if args.polytope is not None:
+        P, gauss = _load_inputs(args)
+        # --m and --n default to the polytope's, and the manifest records them
+        args.m = P.m if args.m is None else args.m
+        args.n = P.n if args.n is None else args.n
+    elif args.m is None or args.n is None:
+        raise CliError("budget needs --m and --n, or --polytope and --gaussian")
     try:
         qry = MixingBudgetQuery(
             regime=args.regime,
@@ -457,7 +461,6 @@ def cmd_budget(args: argparse.Namespace) -> int:
         )
         pairs = [("T", mixing_budget(qry))]
         if args.polytope is not None:
-            P, gauss = _load_inputs(args)
             check_beyond_worst_case(qry, P)
     except PlannerError as exc:
         raise CliError(str(exc)) from exc
@@ -563,14 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="closed-form iteration budgets", description=(
         "T = C (m + kappa) n log(sqrt(M)/eps) for the soft metric, strong regime. "
-        "--polytope (of --m rows in --n dimensions) with --gaussian adds that walk's "
-        "beyond-worst-case T_beyond and its delta -> infinity sentinel T_plain; both "
-        "use log(2M/eps) and radius r_hat(eps/2M), so T_plain > T by design. The weak "
-        "regime takes psi_n^2 = max(1, log n); pass any other psi_n^2, and the Lewis "
-        "metric's (log m)^c2, as a factor of --C."))
+        "--polytope with --gaussian (--m and --n default to the polytope's) adds "
+        "that walk's beyond-worst-case T_beyond and its delta -> infinity sentinel "
+        "T_plain; both use log(2M/eps) and radius r_hat(eps/2M), so T_plain > T by "
+        "design. The weak regime takes psi_n^2 = max(1, log n); pass any other "
+        "psi_n^2, and the Lewis metric's (log m)^c2, as a factor of --C."))
     p.add_argument("--regime", choices=["strong", "weak"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None, help="default: --polytope's m")
+    p.add_argument("--n", type=int, default=None, help="default: --polytope's n")
     p.add_argument("--metric", choices=["soft", "lewis"], default="soft")
     p.add_argument("--kappa", type=float, default=None, help="1 for `sample` with "
                    "its default Sigma^-1; beta/alpha with --lambda-from-beta")

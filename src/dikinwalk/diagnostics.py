@@ -21,6 +21,7 @@ from dikinwalk.metrics import (
     RegularizedLewis,
     SoftThreshold,
     evaluate_metric,
+    spanning_columns,
 )
 from dikinwalk.polytope import DikinwalkError, Polytope, contains, slack
 
@@ -229,7 +230,9 @@ def certify_symmetry(
         H = Ax.T @ Ax
         # H = U^T U, U upper-triangular and F-ordered, as _upper_solve wants
         U, info = dpotrf(H, lower=0, clean=1)
-        if info > 0:  # rank-deficient H: m < n leaves directions unconstrained
+        # rank-deficient H: m < n leaves directions unconstrained, and a nearly
+        # singular one can factor on a roundoff pivot into a wrong ellipsoid
+        if info > 0 or spanning_columns(Ax).shape[0] < n:
             continue
         u = rng.standard_normal(n)
         # pull fractionally inside the boundary sphere: the ellipsoid can

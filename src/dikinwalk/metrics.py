@@ -18,6 +18,7 @@ from dikinwalk.polytope import DikinwalkError, Polytope, slack
 
 
 TOL = 1e-8  # lewis_weights stops once its relative residual is at most TOL
+SUM_TOL = 1e-6  # ... and its weights sum to within SUM_TOL k of its k columns
 RANK_TOL = 1e-6  # ... its last stage keeps the columns with |R_ii| > RANK_TOL |R_11|
 # ... gives up once its residual has not halved in this many iterations
 STALL_ITERATIONS = 20
@@ -170,6 +171,15 @@ def _newton_side(m: int, n: int) -> bool:
     return m <= 3 * n or m <= 96
 
 
+def spanning_columns(Ax: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the columns of Ax that span it numerically: the
+    pivots of its column-pivoted QR with |R_ii| > RANK_TOL |R_11| (R_11's always)."""
+    R, jpvt = dgeqp3(Ax)[:2]
+    d = np.abs(R.diagonal())
+    r = 1 + np.count_nonzero(d[1:] > RANK_TOL * d[0])
+    return np.sort(jpvt[:r] - 1)  # jpvt counts from 1
+
+
 def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     """Solve the weight fixed point w_i = tau_i(w) for the Lewis weights.
 
@@ -189,13 +199,15 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
     eps in tau), stage 1 R^T from a Householder QR of W^{c_q / 2} Ax
     (~cond(Ax) eps, ~2.3-2.9x the cost from (3, 8) to (100, 1000)); stage 2
     runs stage 1 on the r columns of Ax, in order, whose pivoted QR has
-    |R_ii| > RANK_TOL |R_11|: leverage scores depend only on the column
-    space, so its weights sum to the numerical rank r. A stall (the residual
-    has not halved its last such mark in STALL_ITERATIONS iterations, as
-    roundoff near a facet or a rank deficiency holds it above TOL) moves one
-    stage on, a failed Cholesky or triangular inverse to stage 2; one at
-    stage 2, or MAX_ITERATIONS iterations in all, raises MetricError ("did
-    not converge").
+    |R_ii| > RANK_TOL |R_11| (spanning_columns): leverage scores depend only
+    on the column space, so the weights of k columns sum to their rank, r
+    here. A stall (the residual has not halved its last such mark in
+    STALL_ITERATIONS iterations, as roundoff near a facet or a rank
+    deficiency holds it above TOL), or weights that meet TOL with a sum off
+    k (a nearly singular Gram whose Cholesky succeeds on a roundoff pivot),
+    moves one stage on, a failed Cholesky or triangular inverse to stage 2;
+    either at stage 2, or MAX_ITERATIONS iterations in all, raises
+    MetricError ("did not converge").
 
     Jacobian. With P = W^{c_q / 2} K W^{c_q / 2}, the projection onto the
     columns of W^{c_q / 2} Ax, d log tau_i / d u_j = c_q (delta_ij - P_ij^2 /
@@ -273,22 +285,22 @@ def lewis_weights(Ax: np.ndarray, q: int) -> LewisWeights:
                 residual = float((np.abs(w - tau) / w).max())
                 if not math.isfinite(residual):
                     raise MetricError("non-finite Lewis weights")
-                if residual <= TOL:
+                if residual <= TOL and abs(w.sum() - k) <= SUM_TOL * k:
                     return LewisWeights(w=w, residual=residual, iterations=it)
                 if residual <= 0.5 * mark:
                     mark, mark_it = residual, it
-            if info or it - mark_it >= STALL_ITERATIONS or it == MAX_ITERATIONS:
+            # a stall, or weights that meet TOL with the docstring's wrong sum
+            stuck = it - mark_it >= STALL_ITERATIONS or residual <= TOL
+            if info or stuck or it == MAX_ITERATIONS:
                 if stage == 2 or it == MAX_ITERATIONS:
                     raise MetricError(
                         f"Lewis weights did not converge: residual {residual:.3e} "
                         f"after {it} iterations"
                     )
                 stage, mark, mark_it, omega = 2 if info else stage + 1, np.inf, it, 1.0
-                if stage == 2:  # the docstring's r columns; R_11's is always kept
-                    R, jpvt = dgeqp3(Ax)[:2]
-                    d = np.abs(R.diagonal())
-                    k = 1 + np.count_nonzero(d[1:] > RANK_TOL * d[0])
-                    B = Ax[:, np.sort(jpvt[:k] - 1)]  # jpvt counts from 1
+                if stage == 2:  # the docstring's r columns
+                    cols = spanning_columns(Ax)
+                    B, k = Ax[:, cols], cols.shape[0]
                 w = np.full(m, k / m)
                 u = u_prev = np.log(w)
                 continue

@@ -19,16 +19,6 @@ class PolytopeError(DikinwalkError):
     """Invalid polytope data or an operation on an exterior point."""
 
 
-class PolytopeFormatError(PolytopeError):
-    """Malformed polytope text; carries a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 @dataclass(frozen=True)
 class Polytope:
     """The open set {x | Ax > b}, with A of shape (m, n). m = 0 means all of R^n."""
@@ -96,61 +86,73 @@ def data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
-def _floats(tokens: list[str], k: int, lineno: int) -> np.ndarray:
-    if len(tokens) != k:
-        raise PolytopeFormatError(f"expected {k} floats, got {len(tokens)}", lineno)
+def read_header(text: str, error: type[DikinwalkError], names: str) -> tuple:
+    """The first data line of an input file: its line number, the integers
+    that `names` (e.g. "n m") stands for, and an iterator over the data lines
+    after it. A bad line raises `error`."""
+    lines = data_lines(text)
+    lineno, tokens = next(lines, (0, None))
+    if tokens is None:
+        raise error("empty input")
+    if len(tokens) != len(names.split()):
+        raise error(f"line {lineno}: header must be '{names}'")
     try:
-        return np.fromiter(map(float, tokens), float, k)
+        return lineno, [int(token) for token in tokens], lines
     except ValueError:
-        raise PolytopeFormatError("non-numeric token", lineno) from None
+        raise error(f"line {lineno}: non-integer header token") from None
+
+
+def read_rows(
+    text: str, lines: Iterator, error: type, lineno: int, blocks: list, wrong_count: str
+) -> list[np.ndarray]:
+    """Rows of `lines` (the data lines after the header on line `lineno` of
+    `text`) in blocks of (rows, width), each a float array; a bad line raises
+    `error`. Lines, then each row's tokens, are counted before any conversion,
+    so no header size allocates; a wrong line count names the first extra one."""
+    expected = sum(rows for rows, _ in blocks)
+    ends = [ln for k, (ln, _) in enumerate(data_lines(text)) if 0 <= k - expected <= 1]
+    if len(ends) != 1:
+        raise error(f"line {ends[1] if ends else lineno}: {wrong_count}")
+    out = []
+    for rows, width in blocks:
+        for rowno, tokens in itertools.islice(lines, rows):
+            if len(tokens) != width:
+                raise error(f"line {rowno}: expected {width} floats, got {len(tokens)}")
+            try:
+                out.append(np.fromiter(map(float, tokens), float, width))
+            except ValueError:
+                raise error(f"line {rowno}: non-numeric token") from None
+    return out
+
+
+def write_rows(header: list[int], *blocks) -> str:
+    """Inverse of read_header and read_rows: the header line, then every row
+    of every block, bit-exact for finite doubles (17 significant digits)."""
+    lines = [" ".join(map(str, header))]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in itertools.chain(*blocks)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_polytope(text: str) -> Polytope:
-    """Parse the polytope text format.
-
-    First non-comment line is "n m"; then m rows of A (n floats each); then
-    one line of m floats for b (omitted when m = 0). '#' lines are comments.
-    """
-    lines = data_lines(text)
-    lineno, header = next(lines, (0, None))
-    if header is None:
-        raise PolytopeFormatError("empty input")
-    if len(header) != 2:
-        raise PolytopeFormatError("header must be 'n m'", lineno)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise PolytopeFormatError("non-integer header token", lineno) from None
+    """Polytope file: "n m", m lines of n floats (the rows of A), then one
+    line of m floats (b), omitted when m = 0. '#' lines are comments."""
+    lineno, (n, m), lines = read_header(text, PolytopeError, "n m")
     if n <= 0 or m < 0:
-        raise PolytopeFormatError("need n > 0 and m >= 0", lineno)
-    # the lines are counted before any is converted, by a second reader that
-    # keeps only the last expected line's number and the next one's
-    expected = m + (1 if m > 0 else 0)
-    ends = [ln for k, (ln, _) in enumerate(data_lines(text)) if 0 <= k - expected <= 1]
-    if len(ends) != 1:
-        raise PolytopeFormatError(
-            f"expected {m} constraint row{'s' if m != 1 else ''}"
-            + (" and one b line" if m > 0 else ""),
-            ends[1] if ends else lineno,
-        )
-    # each row is counted as it is converted, so the header's n sizes no array
-    A = [_floats(tokens, n, rowno) for rowno, tokens in itertools.islice(lines, m)]
-    b = [_floats(tokens, m, rowno) for rowno, tokens in lines]  # the b line, if m > 0
+        raise PolytopeError(f"line {lineno}: need n > 0 and m >= 0")
+    b_line = " and one b line" if m > 0 else ""
+    wrong_count = f"expected {m} constraint row{'s' if m != 1 else ''}{b_line}"
+    blocks = [(m, n), (min(m, 1), m)]  # the rows of A, then the b line if m > 0
+    rows = read_rows(text, lines, PolytopeError, lineno, blocks, wrong_count)
     try:
-        A = np.array(A).reshape(m, n)
+        A = np.array(rows[:m]).reshape(m, n)
     except ValueError:  # m = 0, and n past numpy's largest shape
-        raise PolytopeFormatError("n is too large", lineno) from None
-    return Polytope(A=A, b=np.array(b).reshape(m))
+        raise PolytopeError(f"line {lineno}: n is too large") from None
+    return Polytope(A=A, b=np.array(rows[m:]).reshape(m))
 
 
 def serialize_polytope(P: Polytope) -> str:
-    """Inverse of parse_polytope, bit-exact for finite doubles (17 sig digits)."""
-    out = [f"{P.n} {P.m}"]
-    for i in range(P.m):
-        out.append(" ".join(f"{v:.17g}" for v in P.A[i]))
-    if P.m > 0:
-        out.append(" ".join(f"{v:.17g}" for v in P.b))
-    return "\n".join(out) + "\n"
+    """Inverse of parse_polytope, bit-exact for finite doubles."""
+    return write_rows([P.n, P.m], P.A, [P.b] if P.m > 0 else [])
 
 
 def make_orthant(n: int) -> Polytope:

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from dikinwalk._lapack import dpotrf, dpotrs
-from dikinwalk.polytope import DikinwalkError, data_lines
+from dikinwalk.polytope import DikinwalkError, read_header, read_rows, write_rows
 
 
 class TargetError(DikinwalkError):
@@ -90,37 +90,17 @@ class GaussianTarget:
 def parse_gaussian(text: str) -> GaussianTarget:
     """Gaussian file: "n", one line of n floats (mu), n lines of n floats
     (Sigma). '#' lines are comments, as in the polytope format."""
-    lines = list(data_lines(text))
-    if not lines:
-        raise TargetError("empty Gaussian file")
-    lineno, first = lines[0]
-    try:
-        (token,) = first
-        n = int(token)
-    except ValueError:  # not one token, or not an integer
-        raise TargetError(f"line {lineno}: first line must be the dimension n") from None
+    lineno, (n,), lines = read_header(text, TargetError, "n")
     if n < 1:
         raise TargetError(f"line {lineno}: dimension n must be positive")
-    if len(lines) != n + 2:
-        lineno = lines[n + 2][0] if len(lines) > n + 2 else lineno
-        raise TargetError(f"line {lineno}: expected 1 mean line and {n} covariance rows")
-    rows = []
-    for lineno, tokens in lines[1:]:
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise TargetError(f"line {lineno}: non-numeric token in Gaussian file") from None
-        if len(tokens) != n:
-            raise TargetError(f"line {lineno}: wrong number of values in Gaussian file")
-    return GaussianTarget(mu=np.array(rows[0]), Sigma=np.array(rows[1:]))
+    wrong_count = f"expected 1 mean line and {n} covariance rows"
+    rows = read_rows(text, lines, TargetError, lineno, [(1, n), (n, n)], wrong_count)
+    return GaussianTarget(mu=rows[0], Sigma=np.array(rows[1:]))
 
 
 def serialize_gaussian(G: GaussianTarget) -> str:
-    """Inverse of parse_gaussian, bit-exact for finite doubles (17 sig digits)."""
-    lines = [str(G.n), " ".join(f"{v:.17g}" for v in G.mu)]
-    for row in G.Sigma:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_gaussian, bit-exact for finite doubles."""
+    return write_rows([G.n], [G.mu], G.Sigma)
 
 
 def quadratic_target(G: GaussianTarget) -> LogConcaveTarget:

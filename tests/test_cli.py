@@ -22,7 +22,6 @@ from dikinwalk.planner import PlannerError
 from dikinwalk.polytope import (
     DikinwalkError,
     PolytopeError,
-    PolytopeFormatError,
     contains,
     parse_polytope,
     serialize_polytope,
@@ -1168,6 +1167,17 @@ def test_budget_worked_example(files, capsys):
     assert "T=34" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--m", "--n"])
+def test_budget_without_files_needs_m_and_n(capsys, flag):
+    argv = ["budget", "--regime", "strong", "--m", "4", "--n", "2", "--kappa", "1",
+            "--warmness", "7", "--eps", "0.1", "--C", "1"]
+    del argv[argv.index(flag):argv.index(flag) + 2]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: budget needs --m and --n, or --polytope and --gaussian\n"
+    )
+
+
 def test_budget_beyond_worst_case(files, capsys):
     tmp, poly, gauss = files
     box = tmp / "bigbox.txt"
@@ -1232,7 +1242,6 @@ def test_oracle_without_acceptance_exits_4(tmp_path, capsys):
     "exc",
     [
         PolytopeError("p"),
-        PolytopeFormatError("bad token", line=3),
         TargetError("t"),
         MetricError("m"),
         PlannerError("pl"),

@@ -123,6 +123,22 @@ def test_certify_symmetry_orthant_corner_case():
     assert rep.max_slack <= 1.0 + 1e-9  # normalized by m
 
 
+def test_certify_symmetry_skips_a_numerically_singular_h():
+    # three rows parallel to ~1e-6: A_x has numerical rank 1 everywhere, where
+    # H's Cholesky can succeed on a roundoff pivot into a wrong ellipsoid
+    P = Polytope(
+        A=np.array([
+            [240.77047178941964, -192.08338142364204],
+            [77278.681687259537, -61651.87275719121],
+            [492.75734767910387, -393.1150563549316],
+        ]),
+        b=np.array([-0.67687848241418258, -0.27709951756571793, -2.3037559381187451]),
+    )
+    rep = certify_symmetry(P, np.zeros(2), 200, np.random.default_rng(0))
+    assert rep.violations == 0
+    assert rep.trials == 0
+
+
 def test_cert_report_merge():
     total = CertReport(name="ssc[soft]")
     a = CertReport(name="ssc[soft]")

@@ -300,6 +300,14 @@ def test_golden_budget(files, capsys, case):
     assert _cli_body_sha256(argv, capsys) == GOLDEN["budget"][case]
 
 
+def test_budget_reads_m_and_n_from_the_polytope(files, capsys):
+    # the files are (m, n) = (8, 3); the manifest records the values used
+    argv = ["budget", *files, "--warmness", "7", "--eps", "0.1", "--C", "1"]
+    argv += ["--regime", "strong", "--kappa", "2"]
+    with_flags = _cli_output([*argv, "--m", "8", "--n", "3"], capsys)
+    assert _cli_output(argv, capsys) == with_flags
+
+
 def test_golden_oracle(files, capsys):
     argv = ["oracle", *files, "--n-samples", "50", "--seed", "4"]
     assert _cli_body_sha256(argv, capsys) == per_core(GOLDEN["oracle"])

@@ -10,7 +10,7 @@ is built wherever the soft one is.
 
 import numpy as np
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dikinwalk._lapack import dpotrf
@@ -100,8 +100,21 @@ def near_parallel_instance(draw):
     return A, np.exp(rng.uniform(-2, 2, size=m))
 
 
+# criterion 7's near-parallel rows at a point where the Gram's Cholesky
+# succeeds on a roundoff pivot and stage 0 meets TOL with sum(w) = 1.000064:
+# cond(A_x) ~1.8e10, numerical rank 1
+NEAR_PARALLEL_A = np.array([
+    [240.77047178941964, -192.08338142364204],
+    [77278.681687259537, -61651.87275719121],
+    [492.75734767910387, -393.1150563549316],
+])
+NEAR_PARALLEL_B = np.array([-0.67687848241418258, -0.27709951756571793, -2.3037559381187451])
+NEAR_PARALLEL_X = np.array([1.203258954116498, 0.6370732356261833])
+
+
 @settings(max_examples=1000, deadline=None)
 @given(near_parallel_instance())
+@example((NEAR_PARALLEL_A, NEAR_PARALLEL_A @ NEAR_PARALLEL_X - NEAR_PARALLEL_B))
 def test_near_parallel_rows_get_weights_that_sum_to_the_rank(case):
     A, s = case
     Ax = A / s[:, None]
@@ -109,6 +122,8 @@ def test_near_parallel_rows_get_weights_that_sum_to_the_rank(case):
     q = default_lewis_q(m)
     w = lewis_weights(Ax, q).w
     assert np.isfinite(w).all() and (w > 0.0).all()
+    # the leverage scores of the columns the weights come from sum to their rank
+    assert abs(w.sum() - round(w.sum())) <= 1e-6 * round(w.sum())
     sv = np.linalg.svd(Ax, compute_uv=False)
     if m == n:  # every square, singular or not, gets w = 1
         assert (w == 1.0).all()
@@ -116,8 +131,7 @@ def test_near_parallel_rows_get_weights_that_sum_to_the_rank(case):
         assert abs(w.sum() - n) <= 1e-6 * n
     elif dpotrf(Ax.T @ ((np.full(m, n / m) ** (1 - 2 / q))[:, None] * Ax), lower=1)[1]:
         # the first Gram's Cholesky fails, so the weights are those of the
-        # columns that span Ax and sum to their count. Where it succeeds on a
-        # roundoff pivot, the iteration can meet TOL with the sum off by ~5%
+        # columns that span Ax and sum to their count
         R = scipy.linalg.qr(Ax, mode="r", pivoting=True)[0]
         r = int(np.count_nonzero(np.abs(R.diagonal()) > RANK_TOL * abs(R[0, 0])))
         assert abs(w.sum() - r) <= 1e-6 * r

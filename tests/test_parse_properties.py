@@ -2,7 +2,11 @@
 
 A round trip through the serializers must be bit-exact for finite doubles,
 and arbitrary text may only raise the parse errors the CLI maps to exit 2.
+Both files go through one reader, so an error names a line of the text, or
+the text is empty, or the data as a whole fails its constructor's checks.
 """
+
+import re
 
 import numpy as np
 from hypothesis import given, settings
@@ -90,6 +94,24 @@ def shaped_gaussian_text(draw):
 
 FUZZ_SETTINGS = settings(max_examples=200, deadline=None)
 
+# the checks of Polytope and GaussianTarget on whole arrays, which no line owns
+DATA_ERRORS = {
+    "constraint data must be finite",
+    "zero row in A (vacuous or empty constraint)",
+    "mu and Sigma must be finite",
+    "Sigma must be symmetric",
+    "Sigma is not positive definite",
+}
+
+
+def _assert_names_a_line(text, exc):
+    message = str(exc)
+    if message == "empty input" or message in DATA_ERRORS:
+        return
+    match = re.match(r"line (\d+): ", message)
+    assert match, message
+    assert 1 <= int(match.group(1)) <= len(text.splitlines()), message
+
 
 @settings(deadline=None)
 @given(polytopes())
@@ -114,7 +136,8 @@ def test_gaussian_round_trip_bit_exact(G):
 def test_polytope_fuzz_raises_only_parse_errors(text):
     try:
         P = parse_polytope(text)
-    except PolytopeError:
+    except PolytopeError as exc:
+        _assert_names_a_line(text, exc)
         return
     assert np.isfinite(P.A).all() and np.isfinite(P.b).all()
 
@@ -125,6 +148,7 @@ def test_polytope_fuzz_raises_only_parse_errors(text):
 def test_gaussian_fuzz_raises_only_parse_errors(text):
     try:
         G = parse_gaussian(text)
-    except TargetError:
+    except TargetError as exc:
+        _assert_names_a_line(text, exc)
         return
     assert G.Sigma.shape == (G.n, G.n)

@@ -4,7 +4,6 @@ import pytest
 from dikinwalk.polytope import (
     Polytope,
     PolytopeError,
-    PolytopeFormatError,
     contains,
     make_box,
     make_orthant,
@@ -65,8 +64,16 @@ def test_parse_round_trip_random_values():
     np.testing.assert_array_equal(P.b, P2.b)
 
 
+def test_serialize_polytope_text():
+    P = Polytope(A=np.array([[1.0, -0.5], [0.1, 2e-300]]), b=np.array([-0.0, 3.0]))
+    assert serialize_polytope(P) == (
+        "2 2\n1 -0.5\n0.10000000000000001 2.0000000000000001e-300\n-0 3\n"
+    )
+    assert serialize_polytope(Polytope(A=np.zeros((0, 3)), b=np.zeros(0))) == "3 0\n"
+
+
 def test_parse_row_count_mismatch():
-    with pytest.raises(PolytopeFormatError):
+    with pytest.raises(PolytopeError):
         parse_polytope("2 1\n1 0\n2 0\n0 0")
 
 
@@ -77,23 +84,23 @@ def test_parse_comments_and_blank_lines():
 
 
 def test_parse_bad_header():
-    with pytest.raises(PolytopeFormatError):
+    with pytest.raises(PolytopeError):
         parse_polytope("banana\n")
-    with pytest.raises(PolytopeFormatError):
+    with pytest.raises(PolytopeError):
         parse_polytope("")
 
 
 def test_parse_huge_header_allocates_nothing():
     # a row of the wrong length is reported before n sizes any array
-    with pytest.raises(PolytopeFormatError, match="line 2"):
+    with pytest.raises(PolytopeError, match="line 2"):
         parse_polytope("1000000000000 1\n1\n0\n")
 
 
 def test_parse_error_carries_line_number():
     try:
         parse_polytope("# comment\n2 1\n1 oops\n0\n")
-    except PolytopeFormatError as exc:
-        assert exc.line == 3
+    except PolytopeError as exc:
+        assert str(exc).startswith("line 3:")
     else:
         pytest.fail("expected a format error")
 
@@ -115,7 +122,7 @@ def test_parse_m_zero():
     ],
 )
 def test_parse_huge_header_and_line_counts(text, message):
-    with pytest.raises(PolytopeFormatError, match=f"^{message}"):
+    with pytest.raises(PolytopeError, match=f"^{message}"):
         parse_polytope(text)
 
 

@@ -12,6 +12,7 @@ from dikinwalk.target import (
     TargetError,
     parse_gaussian,
     quadratic_target,
+    serialize_gaussian,
 )
 
 
@@ -150,3 +151,15 @@ def test_sigma_singular_to_eigvalsh_is_a_target_error():
     assert np.linalg.eigvalsh(G.Sigma).min() == 0.0
     with pytest.raises(TargetError, match="beta must be positive"):
         quadratic_target(G)
+
+
+def test_gaussian_huge_header_allocates_nothing():
+    # the missing rows are reported before n sizes any array
+    with pytest.raises(TargetError, match="^line 1: expected 1 mean line"):
+        parse_gaussian("1000000000000\n1\n1\n")
+
+
+def test_serialize_gaussian_text():
+    G = GaussianTarget(mu=np.array([0.1, -2.0]), Sigma=np.array([[1.0, 0.5], [0.5, 3e10]]))
+    # one writer for both files: the header, then 17 significant digits a row
+    assert serialize_gaussian(G) == "2\n0.10000000000000001 -2\n1 0.5\n0.5 30000000000\n"
